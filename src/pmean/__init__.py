@@ -1,6 +1,6 @@
 """Allocation of indivisible goods under one shared subadditive valuation,
 approximating the optimal generalized-mean welfare for every exponent p <= 1
-with a single allocation, plus the brute-force oracles and numeric checks that
+with a single allocation, plus the exact oracles and numeric checks that
 verify the guarantee at desk scale."""
 
 from .allocator import CONSTANTS, AlgConstants, AlgTrace, alg, alg_low, extract_subbundles

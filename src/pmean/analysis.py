@@ -4,12 +4,11 @@ The solver's threshold constants are tied together by the sign behaviour of
 
     f(p) = a^p + b^p - 1 - c^p,   a = 1/2 - 1/40,  b = 1/2,  c = 2/11.33
 
-(c is stored as the expression 2/11.33, not a decimal literal): f vanishes at
+with 40, 11.33 and 7.06 read from allocator.CONSTANTS (ALG here): f vanishes at
 0, stays nonpositive for negative p, nonnegative up to its unique positive root
 r in (0.4, 0.41), and the upper exponent range [0.4, 1] is covered by the
 doubling inequalities 2 * 7.06^p <= 40^p and 40^p > 2.  These facts are proved
-analytically; this module checks them on dense grids with documented steps,
-which is what can be verified at desk scale.
+analytically; this module checks them on dense grids with documented steps.
 """
 
 from __future__ import annotations
@@ -18,14 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .allocator import CONSTANTS as ALG
 from .errors import BracketInvalid
 
 
 @dataclass(frozen=True)
 class IneqConstants:
-    a: float = 0.5 - 1.0 / 40.0
+    a: float = 0.5 - 1.0 / ALG.approx_factor
     b: float = 0.5
-    c: float = 2.0 / 11.33
+    c: float = 2.0 / ALG.high_bundle_factor
 
     def __post_init__(self):
         if not 0.0 < self.c < self.a < self.b < 1.0:
@@ -121,8 +121,8 @@ def check_upper_range_constants(
     grid = 0.4 + step * np.arange(int(round(0.6 / step)) + 1)
     grid = grid[grid <= 1.0 + 1e-12]
 
-    doubling_ok = bool(np.all(2.0 * 7.06**grid <= 40.0**grid))
-    above_two_ok = bool(np.all(40.0**grid > 2.0))
+    doubling_ok = bool(np.all(2.0 * ALG.combined_divisor**grid <= ALG.approx_factor**grid))
+    above_two_ok = bool(np.all(ALG.approx_factor**grid > 2.0))
 
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 10.0, pair_samples)
@@ -133,7 +133,7 @@ def check_upper_range_constants(
             power_ok = False
             break
 
-    margin = float(np.min(40.0**grid - 2.0 * 7.06**grid))
+    margin = float(np.min(ALG.approx_factor**grid - 2.0 * ALG.combined_divisor**grid))
     return {
         "grid": {"lo": 0.4, "hi": 1.0, "step": step, "points": int(grid.size)},
         "doubling_ok": doubling_ok,

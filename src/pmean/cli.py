@@ -2,9 +2,9 @@
 inequality checks and hardness demos as reproducible file-driven runs.
 
 Exit codes: 0 success / all checks passed, 1 a ratio check failed, 2 usage,
-size or budget errors.  The enumeration budget defaults to 10^7 states and can
-be overridden per run with --budget or globally with the PMEAN_BUDGET
-environment variable.
+size or budget errors.  The exact engine's budget defaults to 10^7 subset-DP
+cells, (n - 2) * 3^m + 2^m for n bundles of m goods, and can be overridden per
+run with --budget or globally with the PMEAN_BUDGET environment variable.
 
 Instances are generated with NumPy's PCG64 generator (np.random.default_rng
 seeded with the documented 64-bit seed), so a (family, n, m, seed) tuple always
@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import analysis, hardness
-from .allocator import alg
+from .allocator import CONSTANTS, alg
 from .errors import PmeanError
 from .means import bundle_values, p_mean_welfare, parse_exponent
 from .oracle import p_opt_brute
@@ -40,10 +40,10 @@ from .valuations import (
     goods_of,
     load_instance,
     save_instance,
-    value,
+    value_table,
 )
 
-RATIO_FLOOR = 1.0 / 40.0
+RATIO_FLOOR = 1.0 / CONSTANTS.approx_factor
 
 FAMILIES = ("additive", "budget_additive", "xos", "explicit")
 
@@ -85,9 +85,7 @@ def generate_instance(
         return Instance(n, Xos(clause_rows))
     if m > 16:
         raise PmeanError("explicit tables support at most 16 goods")
-    xos = Xos(clause_rows)
-    table = tuple(value(xos, s) for s in range(1 << m))
-    return Instance(n, ExplicitTable(table))
+    return Instance(n, ExplicitTable(tuple(value_table(Xos(clause_rows)).tolist())))
 
 
 def _parse_p_list(text: str) -> list[tuple[str, float]]:
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pmean",
         description="Allocate indivisible goods under one shared subadditive valuation "
-        "and check the allocation against brute-force optima.",
+        "and check the allocation against exact optima.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -323,11 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags(solve)
     solve.set_defaults(func=_cmd_solve)
 
-    exact = sub.add_parser("exact", help="brute-force optimal welfare per exponent")
+    exact = sub.add_parser("exact", help="exact optimal welfare per exponent")
     run_flags(exact, with_backend=False)
     exact.set_defaults(func=_cmd_exact)
 
-    verify = sub.add_parser("verify", help="solve, brute-force, and check the 1/40 ratio")
+    verify = sub.add_parser("verify", help="solve, compute exact optima, and check the 1/40 ratio")
     run_flags(verify)
     verify.set_defaults(func=_cmd_verify)
 

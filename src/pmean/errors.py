@@ -10,7 +10,7 @@ class SizeLimitExceeded(PmeanError):
 
 
 class BudgetExceeded(PmeanError):
-    """An exhaustive enumeration would exceed the configured state budget."""
+    """An exact search would exceed its budget of subset-DP cells or partitions."""
 
 
 class PreconditionViolated(PmeanError):

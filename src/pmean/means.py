@@ -42,12 +42,6 @@ def parse_exponent(text: str) -> float:
     return p
 
 
-def format_exponent(p: float) -> str:
-    if p == NEG_INF:
-        return "-inf"
-    return repr(p) if p != int(p) else repr(int(p))
-
-
 def p_mean(values: Sequence[float], p: float) -> float:
     """Generalized mean of nonnegative values with exponent p <= 1."""
     vals = [float(x) for x in values]

@@ -1,21 +1,18 @@
-"""Brute-force ground truth: exact p-optimal allocations over all labeled partitions.
+"""Ground truth: exact p-optimal allocations and the checks built on them.
 
-Deliberately simple so it can be trusted: every partition is scored, ties go to
-the lowest enumeration index, and the n^m state count is capped by an explicit
-budget rather than sampled.  Enumeration may be split by index range as long as
-the lowest-index tie-break is kept.
+Optima come from swmax.best_partition, the subset DP behind the exact welfare
+subroutine, with its work capped by an explicit budget rather than sampled;
+the tests check it against a pure-Python scan of every labeled partition.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from .allocator import CONSTANTS
 from .means import NEG_INF, p_mean_welfare
-from .swmax import DEFAULT_ENUM_BUDGET, _best_partition
+from .swmax import DEFAULT_ENUM_BUDGET, best_partition
 from .valuations import EPS, Instance, iter_goods, value
 
 
@@ -26,42 +23,11 @@ class OptResult:
     welfare: float
 
 
-def _score_rows(p: float):
-    """Vectorized p-mean over the agent axis of an (n, k) value array."""
-
-    def score(vals: np.ndarray) -> np.ndarray:
-        n = vals.shape[0]
-        if p == NEG_INF:
-            return vals.min(axis=0)
-        if p == 1.0:
-            return vals.mean(axis=0)
-        zero_row = (vals == 0.0).any(axis=0)
-        with np.errstate(divide="ignore"):
-            logs = np.where(vals > 0.0, np.log(np.where(vals > 0.0, vals, 1.0)), -np.inf)
-        if p == 0.0:
-            out = np.exp(logs.mean(axis=0))
-            out[zero_row] = 0.0
-            return out
-        scaled = p * logs  # p < 0 turns -inf into +inf; zero rows are masked below
-        shift = np.max(np.where(np.isfinite(scaled), scaled, -np.inf), axis=0)
-        safe_shift = np.where(np.isfinite(shift), shift, 0.0)
-        terms = np.exp(np.where(np.isfinite(scaled), scaled - safe_shift, -np.inf))
-        with np.errstate(divide="ignore"):
-            out = np.exp((safe_shift + np.log(terms.sum(axis=0)) - math.log(n)) / p)
-        if p < 0.0:
-            out[zero_row] = 0.0
-        else:
-            out[~np.isfinite(shift)] = 0.0  # all-zero row
-        return out
-
-    return score
-
-
 def p_opt_brute(
     inst: Instance, p: float, budget: int = DEFAULT_ENUM_BUDGET
 ) -> OptResult:
-    """Exact p-optimal allocation by full enumeration (first maximizer wins)."""
-    alloc = _best_partition(inst, _score_rows(p), budget)
+    """Exact p-optimal allocation and its p-mean welfare."""
+    alloc = best_partition(inst, p, budget)
     return OptResult(p, alloc, p_mean_welfare(inst, alloc, p))
 
 
@@ -90,9 +56,9 @@ def check_structural_lemma(
     v = inst.valuation
     for bundle in opt.alloc:
         worth = value(v, bundle)
-        if worth <= 11.33 * f_value + EPS:
+        if worth <= CONSTANTS.high_bundle_factor * f_value + EPS:
             continue
-        floor = worth / 40.0 - EPS
+        floor = worth / CONSTANTS.approx_factor - EPS
         if not any(value(v, 1 << g) >= floor for g in iter_goods(bundle)):
             return False
     return True

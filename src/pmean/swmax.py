@@ -1,17 +1,16 @@
 """Social-welfare subroutine: allocations with known average-welfare quality.
 
 Both solver phases consult this module for an allocation whose average social
-welfare (the f_value) they can trust.  The exact backend enumerates every
-labeled partition and is optimal by construction; the greedy backend is a
-cheap demand-query heuristic with no claimed guarantee.  A half_approx tag is
-reserved for backends that promise at least half the optimal average welfare,
-the contract the solver's analysis actually consumes.
+welfare (the f_value) they can trust.  The exact backend is best_partition at
+p = 1, the subset DP the oracle runs at every exponent, optimal by construction;
+the greedy backend is a cheap demand-query heuristic with no claimed guarantee.
+A half_approx tag is reserved for backends that promise at least half the
+optimal average welfare, the contract the solver's analysis actually consumes.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -19,6 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceeded
+from .means import SMALL_EXPONENT_BAND
 from .valuations import Instance, demand, full_set, goods_of, restrict, value, value_table
 
 DEFAULT_ENUM_BUDGET = 10_000_000
@@ -43,38 +43,27 @@ class SwEstimate:
     guarantee: Guarantee
 
 
-def _check_budget(m: int, n: int, budget: int) -> None:
-    states = n**m
-    if states > budget:
-        raise BudgetExceeded(
-            f"enumerating {n}^{m} = {states} labeled partitions exceeds budget {budget}"
-        )
-
-
 def enumerate_labeled_partitions(
     m: int, n: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> Iterator[tuple[int, ...]]:
     """Yield every assignment of m goods to n labeled bundles exactly once.
 
     Good 0 is the most significant position: the first agent of good 0 varies
-    slowest across the stream.  Single-consumer generator.
+    slowest across the stream.  Single-consumer generator; the budget caps n^m.
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    _check_budget(m, n, budget)
-    for assignment in itertools.product(range(n), repeat=m):
-        bundles = [0] * n
-        for j, agent in enumerate(assignment):
-            bundles[agent] |= 1 << j
-        yield tuple(bundles)
+    states = n**m
+    if states > budget:
+        raise BudgetExceeded(f"{n}^{m} = {states} labeled partitions exceed budget {budget}")
+    for start in range(0, states, _CHUNK):
+        masks = _chunk_bundle_masks(m, n, start, min(start + _CHUNK, states))
+        yield from map(tuple, masks.T.tolist())
 
 
 def _chunk_bundle_masks(m: int, n: int, start: int, stop: int) -> np.ndarray:
-    """Bundle bitmasks for partition indices [start, stop): shape (n, stop-start).
-
-    Index encoding matches enumerate_labeled_partitions: the agent of good j is
-    digit j of the index in base n, good 0 most significant.
-    """
+    """Bundle bitmasks for partition indices [start, stop), shape (n, stop - start):
+    the agent of good j is digit j of the index in base n, good 0 most significant."""
     idx = np.arange(start, stop, dtype=np.int64)
     masks = np.zeros((n, idx.size), dtype=np.int64)
     for j in range(m):
@@ -84,44 +73,92 @@ def _chunk_bundle_masks(m: int, n: int, start: int, stop: int) -> np.ndarray:
     return masks
 
 
-def _decode_partition(index: int, m: int, n: int) -> tuple[int, ...]:
-    bundles = [0] * n
+def _neg_log_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """-log(e^-a + e^-b), elementwise: the combine for p < 0."""
+    return np.negative(np.logaddexp(np.negative(a, out=out), -b, out=out), out=out)
+
+
+def _scores(table: np.ndarray, p: float):
+    """Per-subset score g(v) and the combine op whose maximum ranks p-means.
+
+    p < 0 ranks by -log(sum of v^p), so no power of a tiny or huge value
+    overflows; near p = 0, sum((v^p - 1) / p) keeps digits that sum(v^p) rounds away.
+    """
+    with np.errstate(divide="ignore"):
+        if p == -math.inf:
+            return table, np.minimum
+        if p == 0.0:
+            return np.log(table), np.add
+        if abs(p) < SMALL_EXPONENT_BAND:
+            return np.expm1(p * np.log(table)) / p, np.add
+        if p > 0.0:
+            return table**p, np.add
+        return -p * np.log(table), _neg_log_sum
+
+
+def _submasks(subset: int) -> np.ndarray:
+    """Every submask of a bitmask, ascending."""
+    out = np.zeros(1, dtype=np.int32)
+    for j in goods_of(subset):
+        out = np.concatenate([out, out | (1 << j)])
+    return out
+
+
+def _layer_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, S minus T) for every S and every T within S holding S's lowest good
+    (some bundle of any partition of S does), grouped by S ascending, and the
+    group starts.  T number k of a group spreads the bits of k over S's other goods."""
+    counts = np.zeros(1, dtype=np.int64)
+    for _ in range(m):
+        counts = np.concatenate([counts, counts + 1])
+    dtype = np.uint16 if m <= 16 else np.uint32
+    wholes = np.arange(1 << m, dtype=dtype)
+    sizes = 1 << (counts - (wholes > 0))
+    starts = np.cumsum(sizes) - sizes
+    whole = np.repeat(wholes, sizes)
+    others = np.repeat(wholes & (wholes - 1), sizes)
+    k = (np.arange(whole.size) - np.repeat(starts, sizes)).astype(dtype)
+    sub = whole ^ others
     for j in range(m):
-        agent = (index // n ** (m - 1 - j)) % n
-        bundles[agent] |= 1 << j
-    return tuple(bundles)
+        bit = (others >> j) & 1
+        sub |= (k & bit) << j
+        k >>= bit
+    return sub, whole ^ sub, starts
 
 
-def _best_partition(inst: Instance, score_rows, budget: int) -> tuple[int, ...]:
-    """Scan all labeled partitions, return the first one maximizing score_rows.
+def best_partition(inst: Instance, p: float, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, ...]:
+    """An allocation maximizing the p-mean of bundle values, by subset DP.
 
-    score_rows maps an (n, k) array of bundle values to k scores.  Ties go to
-    the lowest partition index, so results are deterministic and chunking (or
-    parallel evaluation by index range) cannot change them.
+    F_k[S], the best score of k bundles partitioning S, is the best over T in S
+    of g(v(T)) combined with F_(k-1)[S minus T] (see _scores).  Layers 2 .. n-1
+    cover every S, the top layer all goods only; the budget caps their (S, T)
+    pairs, (n - 2) * 3^m + 2^m, of which _layer_pairs needs half.  Rebuilding from
+    the top, each agent takes the lowest submask of the goods left that scores best.
     """
     m, n = inst.m, inst.n
-    _check_budget(m, n, budget)
     if n == 1:
         return (full_set(m),)
-    table = value_table(inst.valuation)
-    states = n**m
-    best_score = -math.inf
-    best_index = 0
-    for start in range(0, states, _CHUNK):
-        stop = min(start + _CHUNK, states)
-        masks = _chunk_bundle_masks(m, n, start, stop)
-        scores = score_rows(table[masks])
-        i = int(np.argmax(scores))
-        if scores[i] > best_score:
-            best_score = float(scores[i])
-            best_index = start + i
-    return _decode_partition(best_index, m, n)
-
-
-def _exact_sw(inst: Instance, budget: int) -> SwEstimate:
-    alloc = _best_partition(inst, lambda vals: vals.mean(axis=0), budget)
-    f = math.fsum(value(inst.valuation, b) for b in alloc) / inst.n
-    return SwEstimate(alloc, f, Guarantee.EXACT)
+    cells = (n - 2) * 3**m + 2**m
+    if cells > budget:
+        raise BudgetExceeded(f"n={n}, m={m} needs {cells} subset-DP cells, over budget {budget}")
+    g, combine = _scores(value_table(inst.valuation), p)
+    layers = [g]  # layers[k - 1][S] = F_k[S]
+    if n > 2:
+        sub, rest, starts = _layer_pairs(m)
+        for _ in range(n - 2):
+            cand = g[sub]
+            combine(cand, layers[-1][rest], out=cand)
+            layers.append(np.maximum.reduceat(cand, starts))
+    bundles = []
+    left = full_set(m)
+    for prev in reversed(layers):
+        subs = _submasks(left)
+        scores = g[subs]
+        combine(scores, prev[left ^ subs], out=scores)
+        pick = int(subs[np.argmax(scores)])
+        bundles.append(pick)
+        left ^= pick
+    return tuple(bundles) + (left,)
 
 
 def _greedy_sw(inst: Instance) -> SwEstimate:
@@ -148,12 +185,14 @@ def sw_estimate(
 ) -> SwEstimate:
     """Allocation plus its average social welfare, per the selected backend.
 
-    exact: true optimum over all labeled partitions (Guarantee.EXACT).
+    exact: true optimum over all partitions, by subset DP (Guarantee.EXACT).
     greedy: demand-query round-robin heuristic (Guarantee.HEURISTIC); its
     quality is measured against the exact backend in tests, never assumed.
     """
     if backend == EXACT:
-        return _exact_sw(inst, budget)
+        alloc = best_partition(inst, 1.0, budget)
+        f = math.fsum(value(inst.valuation, b) for b in alloc) / inst.n
+        return SwEstimate(alloc, f, Guarantee.EXACT)
     if backend == GREEDY:
         return _greedy_sw(inst)
     raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")

@@ -185,9 +185,9 @@ def value(v: Valuation, subset: int) -> float:
 
 def _subset_sums(vec: Sequence[float]) -> np.ndarray:
     """All 2^len(vec) subset sums, indexed by bitmask."""
-    sums = np.zeros(1)
-    for w in vec:
-        sums = np.concatenate([sums, sums + w])
+    sums = np.zeros(1 << len(vec))
+    for j, w in enumerate(vec):
+        np.add(sums[: 1 << j], w, out=sums[1 << j : 2 << j])
     return sums
 
 
@@ -200,7 +200,10 @@ def value_table(v: Valuation) -> np.ndarray:
     if isinstance(v, BudgetAdditive):
         return np.minimum(v.cap, _subset_sums(v.weights))
     if isinstance(v, Xos):
-        return np.max([_subset_sums(c) for c in v.clauses], axis=0)
+        table = _subset_sums(v.clauses[0])
+        for clause in v.clauses[1:]:
+            np.maximum(table, _subset_sums(clause), out=table)
+        return table
     return np.asarray(v.table, dtype=float)
 
 

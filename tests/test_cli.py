@@ -26,7 +26,11 @@ def test_gen_explicit_passes_axiom_check(tmp_path, capsys):
     code, _ = run(capsys, "gen", "--family", "explicit", "--n", "2", "--m", "6",
                   "--seed", "1", "--out", str(path))
     assert code == 0
-    assert check_axioms(load_instance(path).valuation).all_ok
+    explicit = load_instance(path).valuation
+    assert check_axioms(explicit).all_ok
+    # every entry is the drawn XOS valuation's value, bit for bit
+    xos = cli.generate_instance("xos", 2, 6, 1).valuation
+    assert all(explicit.table[s] == value(xos, s) for s in range(1 << 6))
 
 
 def test_gen_single_clause_xos_is_additive(tmp_path, capsys):

@@ -7,19 +7,35 @@ from pmean.errors import BudgetExceeded
 from pmean.means import NEG_INF, p_mean, p_mean_welfare
 from pmean.oracle import check_monotonicity, check_structural_lemma, p_opt_brute
 from pmean.swmax import enumerate_labeled_partitions, sw_estimate
-from pmean.valuations import Additive, Instance, value
+from pmean.valuations import Additive, BudgetAdditive, ExplicitTable, Instance, Xos, value
 
 from helpers import FAMILIES, random_valuation
 
 P_GRID = [NEG_INF, -4.0, -1.0, 0.0, 0.25, 0.7, 1.0]
 
 
-def rescan_opt(inst, p):
-    """Independent p-optimum by pure partition enumeration and scalar means."""
-    return max(
-        p_mean([value(inst.valuation, b) for b in bundles], p)
+def rescan_opts(inst, ps):
+    """Independent p-optima by pure partition enumeration and scalar means."""
+    rows = [
+        [value(inst.valuation, b) for b in bundles]
         for bundles in enumerate_labeled_partitions(inst.m, inst.n)
+    ]
+    return [max(p_mean(vals, p) for vals in rows) for p in ps]
+
+
+def zero_goods_valuation(family, rng, m, zeros=(0, 2)):
+    """A random valuation of the family under which the listed goods are worth nothing."""
+    drawn = random_valuation("xos", rng, m)
+    clauses = tuple(
+        tuple(0.0 if j in zeros else w for j, w in enumerate(c)) for c in drawn.clauses
     )
+    if family == "additive":
+        return Additive(clauses[0])
+    if family == "budget_additive":
+        return BudgetAdditive(clauses[0], round(0.6 * sum(clauses[0]), 6))
+    if family == "xos":
+        return Xos(clauses)
+    return ExplicitTable(tuple(value(Xos(clauses), s) for s in range(1 << m)))
 
 
 def test_single_agent():
@@ -45,17 +61,40 @@ def test_mean_welfare_is_constant_for_additive():
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         p_opt_brute(Instance(3, Additive((1.0,) * 12)), 0.0, budget=1000)
+    # 4 * 3^12 + 2^12 DP cells fit the default budget (6^12 partitions would not)
+    six = Instance(6, Additive(tuple(float(j + 1) for j in range(12))))
+    assert p_opt_brute(six, 1.0).welfare == pytest.approx(78.0 / 6.0)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("seed", range(3))
 def test_matches_pure_python_rescan(family, seed):
+    # n = 2, 3, 4; n > m leaves bundles empty, and zero-valued goods give
+    # bundles worth 0, both of which score -inf at p <= 0
     rng = np.random.default_rng(1000 + seed)
-    inst = Instance(2, random_valuation(family, rng, 6))
-    for p in P_GRID:
-        res = p_opt_brute(inst, p)
-        assert res.welfare == pytest.approx(p_mean_welfare(inst, res.alloc, p), abs=1e-9)
-        assert res.welfare == pytest.approx(rescan_opt(inst, p), abs=1e-9)
+    instances = [
+        Instance(n, random_valuation(family, rng, m))
+        for n, m in ((2, 6), (3, 6), (4, 5), (4, 3))
+    ]
+    instances.append(Instance(3, zero_goods_valuation(family, rng, 5)))
+    for inst in instances:
+        assert inst.n**inst.m <= 10_000
+        for p, expected in zip(P_GRID, rescan_opts(inst, P_GRID)):
+            res = p_opt_brute(inst, p)
+            assert res.welfare == pytest.approx(p_mean_welfare(inst, res.alloc, p), abs=1e-9)
+            assert res.welfare == pytest.approx(expected, abs=1e-9)
+
+
+def test_extreme_exponents_match_rescan():
+    # values spread over nine decades: v^p over- and underflows at p = -200,
+    # and near p = 0 the power sum differs from n only in its last digits
+    rng = np.random.default_rng(1051)
+    ps = [-200.0, -1e-9, 1e-9]
+    for n in (2, 3):
+        for _ in range(10):
+            inst = Instance(n, Additive(tuple(float(x) for x in 10 ** rng.uniform(-6, 3, 6))))
+            for p, expected in zip(ps, rescan_opts(inst, ps)):
+                assert p_opt_brute(inst, p).welfare == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))

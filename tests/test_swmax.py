@@ -8,6 +8,7 @@ from pmean.swmax import (
     EXACT,
     GREEDY,
     Guarantee,
+    best_partition,
     enumerate_labeled_partitions,
     sw_estimate,
 )
@@ -41,6 +42,12 @@ def test_budget_guard():
         list(enumerate_labeled_partitions(10, 3, budget=100))
     with pytest.raises(BudgetExceeded):
         sw_estimate(Instance(3, Additive((1.0,) * 10)), EXACT, budget=100)
+    # the budget counts DP cells: (n - 2) * 3^m + 2^m
+    inst = Instance(4, Additive((1.0,) * 5))
+    cells = 2 * 3**5 + 2**5
+    assert len(best_partition(inst, 1.0, budget=cells)) == 4
+    with pytest.raises(BudgetExceeded):
+        best_partition(inst, 1.0, budget=cells - 1)
 
 
 def test_single_agent_gets_everything():
