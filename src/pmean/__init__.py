@@ -14,7 +14,13 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .means import NEG_INF, p_mean, p_mean_welfare, parse_exponent
-from .oracle import OptResult, check_monotonicity, check_structural_lemma, p_opt_brute
+from .oracle import (
+    OptResult,
+    check_monotonicity,
+    check_structural_lemma,
+    p_opt_brute,
+    p_opt_grid,
+)
 from .swmax import (
     DEFAULT_ENUM_BUDGET,
     EXACT,
@@ -79,6 +85,7 @@ __all__ = [
     "p_mean",
     "p_mean_welfare",
     "p_opt_brute",
+    "p_opt_grid",
     "parse_exponent",
     "restrict",
     "save_instance",

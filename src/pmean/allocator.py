@@ -8,6 +8,11 @@ no good clears the bar: it asks the welfare subroutine for a near-optimal
 allocation, then re-cuts its high-value bundles good by good so every remaining
 agent ends up with at least a 1/20 fraction of the estimate.
 
+Inside alg, the exact subroutine is one p = 1 subset DP over the whole instance
+(swmax.SubsetDP); every phase-one estimate is read from it without restricting
+the valuation, and phase two re-cuts the estimate that stopped phase one
+instead of computing it again.
+
 All threshold comparisons accept an absolute slack of EPS on the >= side.
 Every tie is broken by ascending good index (bundle sorts by descending value,
 then ascending original position), so identical inputs give identical outputs.
@@ -20,8 +25,8 @@ from dataclasses import dataclass, field
 
 from .errors import PreconditionViolated
 from .means import bundle_values
-from .swmax import DEFAULT_ENUM_BUDGET, EXACT, sw_estimate
-from .valuations import EPS, Instance, full_set, goods_of, restrict, value
+from .swmax import DEFAULT_ENUM_BUDGET, EXACT, SubsetDP, sw_estimate
+from .valuations import EPS, Instance, full_set, goods_of, mask_of, restrict, value
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,31 @@ def _expand(local_mask: int, goods: list[int]) -> int:
     return mask
 
 
+def _estimator(inst: Instance, backend: str, budget: int):
+    """estimate(agents, goods): a welfare-subroutine allocation of the listed
+    goods among that many agents, as global bitmasks, and its f_value.
+
+    The exact backend runs one p = 1 subset DP on the whole instance and reads
+    every sub-instance's optimum from it; other backends restrict the valuation
+    and call sw_estimate.
+    """
+    v = inst.valuation
+    if backend == EXACT:
+        best = SubsetDP(inst, budget).at(1.0)
+
+        def exact(agents: int, goods: list[int]) -> tuple[tuple[int, ...], float]:
+            alloc = best(mask_of(goods), agents)
+            return alloc, math.fsum(value(v, b) for b in alloc) / agents
+
+        return exact
+
+    def restricted(agents: int, goods: list[int]) -> tuple[tuple[int, ...], float]:
+        est = sw_estimate(Instance(agents, restrict(v, goods)), backend, budget)
+        return tuple(_expand(b, goods) for b in est.alloc), est.f_value
+
+    return restricted
+
+
 def alg(
     inst: Instance,
     backend: str = EXACT,
@@ -71,35 +101,36 @@ def alg(
     The singleton loop additionally stops when only one agent is left (that
     agent then receives everything still unassigned, which can only help every
     welfare objective) and when the best remaining good is worthless (an
-    all-zero tail makes any allocation optimal).
+    all-zero tail makes any allocation optimal).  When it stops below the bar,
+    phase two re-cuts the estimate that stopped it instead of asking again.
     """
     v = inst.valuation
     order = sorted(range(inst.m), key=lambda j: (-value(v, 1 << j), j))
+    estimate = _estimator(inst, backend, budget)
 
     trace = AlgTrace()
     singles: list[int] = []
     agents_left = inst.n
     next_pick = 0
+    est = None  # the estimate that stopped phase one below the bar, if one did
 
     while agents_left > 1 and next_pick < inst.m:
         g = order[next_pick]
         top_value = value(v, 1 << g)
         if top_value <= 0.0:
             break
-        remaining = sorted(order[next_pick:])
-        sub = Instance(agents_left, restrict(v, remaining))
-        f = sw_estimate(sub, backend, budget).f_value
+        alloc, f = estimate(agents_left, sorted(order[next_pick:]))
         trace.f_values.append(f)
         if top_value < f / constants.phase1_divisor - EPS:
+            est = alloc, f
             break
         singles.append(g)
         agents_left -= 1
         next_pick += 1
 
     leftover = sorted(order[next_pick:])
-    tail = Instance(agents_left, restrict(v, leftover))
-    local_bundles = alg_low(tail, backend, budget, constants)
-    phase2 = [_expand(b, leftover) for b in local_bundles]
+    alloc, f = est or estimate(agents_left, leftover)
+    phase2 = _recut(v, alloc, f, mask_of(leftover), constants)
 
     trace.k = len(singles)
     trace.singleton_goods = list(singles)
@@ -114,25 +145,31 @@ def alg_low(
     constants: AlgConstants = CONSTANTS,
 ) -> tuple[int, ...]:
     """Allocate an instance in which no single good is worth more than a
-    1/3.53 fraction of the welfare estimate.
-
-    Fetches a near-optimal allocation, sorts its bundles by descending value
-    and moves goods one at a time into output bundles, starting a new bundle as
-    soon as the next good would lift the current one to a third of the
-    estimate; whatever is left lands in the last bundle.  The hypothesis on
-    good values is not checked up front: if it fails badly enough, the source
-    bundles run out early and PreconditionViolated is raised.
-    """
-    v = inst.valuation
+    1/3.53 fraction of the welfare estimate: sw_estimate, then the re-cut."""
     est = sw_estimate(inst, backend, budget)
-    bar = est.f_value * constants.alglow_fraction
-    u = inst.n
+    return _recut(inst.valuation, est.alloc, est.f_value, full_set(inst.m), constants)
+
+
+def _recut(
+    v, alloc: tuple[int, ...], f: float, goods: int, constants: AlgConstants
+) -> tuple[int, ...]:
+    """Re-cut an estimate's allocation of the goods bitmask, worth f on average.
+
+    Sorts its bundles by descending value and moves goods one at a time into
+    output bundles, starting a new bundle as soon as the next good would lift
+    the current one to a third of the estimate; whatever is left lands in the
+    last bundle.  The low-value hypothesis is not checked up front: if it fails
+    badly enough, the source bundles run out early and PreconditionViolated is
+    raised.
+    """
+    bar = f * constants.alglow_fraction
+    u = len(alloc)
     if bar <= EPS:
         # worthless instance: any split meets every bound trivially
-        return (0,) * (u - 1) + (full_set(inst.m),)
+        return (0,) * (u - 1) + (goods,)
 
-    order = sorted(range(u), key=lambda i: (-value(v, est.alloc[i]), i))
-    sources = [goods_of(est.alloc[i]) for i in order]
+    order = sorted(range(u), key=lambda i: (-value(v, alloc[i]), i))
+    sources = [goods_of(alloc[i]) for i in order]
 
     bundles = [0] * u
     a = 0
@@ -159,7 +196,7 @@ def alg_low(
     assigned = 0
     for b in bundles[: u - 1]:
         assigned |= b
-    bundles[u - 1] = full_set(inst.m) & ~assigned
+    bundles[u - 1] = goods & ~assigned
     return tuple(bundles)
 
 

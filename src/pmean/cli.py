@@ -5,6 +5,8 @@ Exit codes: 0 success / all checks passed, 1 a ratio check failed, 2 usage,
 size or budget errors.  The exact engine's budget defaults to 10^7 subset-DP
 cells, (n - 2) * 3^m + 2^m for n bundles of m goods, and can be overridden per
 run with --budget or globally with the PMEAN_BUDGET environment variable.
+`exact`, `verify` and `hardness-demo` build the DP's value table and layer
+pairs once per instance and share them across all requested exponents.
 
 Instances are generated with NumPy's PCG64 generator (np.random.default_rng
 seeded with the documented 64-bit seed), so a (family, n, m, seed) tuple always
@@ -28,7 +30,7 @@ from . import analysis, hardness
 from .allocator import CONSTANTS, alg
 from .errors import PmeanError
 from .means import bundle_values, p_mean_welfare, parse_exponent
-from .oracle import p_opt_brute
+from .oracle import p_opt_grid
 from .swmax import BACKENDS, DEFAULT_ENUM_BUDGET, EXACT
 from .valuations import (
     EPS,
@@ -165,12 +167,12 @@ def _cmd_exact(args) -> int:
     inst = load_instance(args.instance)
     budget = _resolve_budget(args.budget)
     start = time.perf_counter()
-    table = []
-    for token, p in _parse_p_list(args.p):
-        opt = p_opt_brute(inst, p, budget)
-        table.append(
-            {"p": token, "opt_welfare": opt.welfare, "allocation": _bundles_as_lists(opt.alloc)}
-        )
+    ps = _parse_p_list(args.p)
+    opts = p_opt_grid(inst, [p for _, p in ps], budget)
+    table = [
+        {"p": token, "opt_welfare": opt.welfare, "allocation": _bundles_as_lists(opt.alloc)}
+        for (token, _), opt in zip(ps, opts)
+    ]
     report = {
         "command": "exact",
         "instance": args.instance,
@@ -191,8 +193,8 @@ def _cmd_verify(args) -> int:
     report = _solve_report(inst, ps, args.sw_backend, budget)
     table = []
     all_pass = True
-    for row, (token, p) in zip(report["table"], ps):
-        opt = p_opt_brute(inst, p, budget)
+    opts = p_opt_grid(inst, [p for _, p in ps], budget)
+    for row, (token, _), opt in zip(report["table"], ps, opts):
         alg_w = row["alg_welfare"]
         if opt.welfare <= 0.0:
             status, ratio = "vacuous", None
@@ -256,13 +258,13 @@ def _cmd_hardness_demo(args) -> int:
         save_instance(inst, args.out)
 
     matching = hardness.max_matching_brute(gadget)
+    opts = [opt.welfare for opt in p_opt_grid(inst, [p for _, p in ps], budget)]
     table = []
     ok = True
     if args.mode == "yes":
         expected_perfect = len(matching) == gadget.q
         ok &= expected_perfect
-        for token, p in ps:
-            opt = p_opt_brute(inst, p, budget).welfare
+        for (token, _), opt in zip(ps, opts):
             row_ok = abs(opt - 3.0) <= 1e-9
             ok &= row_ok
             table.append({"p": token, "opt_welfare": opt, "ok": row_ok})
@@ -270,8 +272,7 @@ def _cmd_hardness_demo(args) -> int:
     else:
         alpha = len(matching) / gadget.q
         bound = 2.0 + alpha
-        for token, p in ps:
-            opt = p_opt_brute(inst, p, budget).welfare
+        for (token, _), opt in zip(ps, opts):
             row_ok = opt <= bound + EPS
             ok &= row_ok
             table.append({"p": token, "opt_welfare": opt, "bound": bound, "ok": row_ok})

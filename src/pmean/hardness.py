@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotPerfect, SizeLimitExceeded
-from .oracle import p_opt_brute
+from .oracle import p_opt_grid
 from .swmax import DEFAULT_ENUM_BUDGET
 from .valuations import EPS, Instance, Xos, full_set
 
@@ -118,7 +118,7 @@ def verify_no_side(
         return True
     inst = reduce(g)
     bound = 2.0 + alpha + EPS
-    return all(p_opt_brute(inst, p, budget).welfare <= bound for p in p_grid)
+    return all(opt.welfare <= bound for opt in p_opt_grid(inst, p_grid, budget))
 
 
 def generate_yes_instance(q: int, seed: int = 0, decoys: int | None = None) -> Gap3dmInstance:

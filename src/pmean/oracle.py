@@ -1,8 +1,11 @@
 """Ground truth: exact p-optimal allocations and the checks built on them.
 
-Optima come from swmax.best_partition, the subset DP behind the exact welfare
+Optima come from swmax.SubsetDP, the subset DP behind the exact welfare
 subroutine, with its work capped by an explicit budget rather than sampled;
 the tests check it against a pure-Python scan of every labeled partition.
+p_opt_brute answers one exponent; p_opt_grid answers many from one set-up,
+building the value table and the layer pairs once and only the layers per
+exponent.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from typing import Sequence
 
 from .allocator import CONSTANTS
 from .means import NEG_INF, p_mean_welfare
-from .swmax import DEFAULT_ENUM_BUDGET, best_partition
-from .valuations import EPS, Instance, iter_goods, value
+from .swmax import DEFAULT_ENUM_BUDGET, SubsetDP
+from .valuations import EPS, Instance, full_set, iter_goods, value
 
 
 @dataclass(frozen=True)
@@ -27,16 +30,31 @@ def p_opt_brute(
     inst: Instance, p: float, budget: int = DEFAULT_ENUM_BUDGET
 ) -> OptResult:
     """Exact p-optimal allocation and its p-mean welfare."""
-    alloc = best_partition(inst, p, budget)
-    return OptResult(p, alloc, p_mean_welfare(inst, alloc, p))
+    return p_opt_grid(inst, [p], budget)[0]
+
+
+def p_opt_grid(
+    inst: Instance, ps: Sequence[float], budget: int = DEFAULT_ENUM_BUDGET
+) -> list[OptResult]:
+    """Exact p-optimal allocation and welfare at each exponent in turn, with
+    one subset-DP set-up (value table and layer pairs) shared by all of them."""
+    if not ps:  # nothing to solve: no set-up, so no budget check
+        return []
+    dp = SubsetDP(inst, budget)
+    everything = full_set(inst.m)
+    results = []
+    for p in ps:
+        alloc = dp.at(p)(everything, inst.n)
+        results.append(OptResult(p, alloc, p_mean_welfare(inst, alloc, p)))
+    return results
 
 
 def check_monotonicity(
     inst: Instance, p_grid: Sequence[float], budget: int = DEFAULT_ENUM_BUDGET
 ) -> bool:
     """True iff the optimal average welfare dominates every grid p's optimum."""
-    opt1 = p_opt_brute(inst, 1.0, budget).welfare
-    return all(p_opt_brute(inst, p, budget).welfare <= opt1 + EPS for p in p_grid)
+    opt1, *opts = p_opt_grid(inst, [1.0, *p_grid], budget)
+    return all(opt.welfare <= opt1.welfare + EPS for opt in opts)
 
 
 def check_structural_lemma(

@@ -1,9 +1,12 @@
 """Social-welfare subroutine: allocations with known average-welfare quality.
 
 Both solver phases consult this module for an allocation whose average social
-welfare (the f_value) they can trust.  The exact backend is best_partition at
-p = 1, the subset DP the oracle runs at every exponent, optimal by construction;
-the greedy backend is a cheap demand-query heuristic with no claimed guarantee.
+welfare (the f_value) they can trust.  The exact backend is the subset DP the
+oracle runs at every exponent, optimal by construction: SubsetDP builds the
+per-instance part once (value table, layer pairs) and at(p) the per-exponent
+layers, from which the best split of any goods set among any number of agents
+up to n is rebuilt, so one p = 1 pass serves every estimate of an alg run.  The
+greedy backend is a cheap demand-query heuristic with no claimed guarantee.
 A half_approx tag is reserved for backends that promise at least half the
 optimal average welfare, the contract the solver's analysis actually consumes.
 """
@@ -13,7 +16,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -126,39 +130,83 @@ def _layer_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sub, whole ^ sub, starts
 
 
-def best_partition(inst: Instance, p: float, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, ...]:
-    """An allocation maximizing the p-mean of bundle values, by subset DP.
+class SubsetDP:
+    """The per-instance half of the subset DP, built once and shared by every
+    exponent: the budget check, the value table and, for n > 2, the middle
+    layers' (T, S minus T) pairs.  at(p) runs the per-exponent half.
 
     F_k[S], the best score of k bundles partitioning S, is the best over T in S
-    of g(v(T)) combined with F_(k-1)[S minus T] (see _scores).  Layers 2 .. n-1
-    cover every S, the top layer all goods only; the budget caps their (S, T)
-    pairs, (n - 2) * 3^m + 2^m, of which _layer_pairs needs half.  Rebuilding from
-    the top, each agent takes the lowest submask of the goods left that scores best.
+    of g(v(T)) combined with F_(k-1)[S minus T] (see _scores).  Layers 1 .. n-1
+    cover every S; the budget caps the (S, T) pairs of all n layers,
+    (n - 2) * 3^m + 2^m, of which _layer_pairs needs half.
     """
-    m, n = inst.m, inst.n
-    if n == 1:
-        return (full_set(m),)
-    cells = (n - 2) * 3**m + 2**m
-    if cells > budget:
-        raise BudgetExceeded(f"n={n}, m={m} needs {cells} subset-DP cells, over budget {budget}")
-    g, combine = _scores(value_table(inst.valuation), p)
-    layers = [g]  # layers[k - 1][S] = F_k[S]
-    if n > 2:
-        sub, rest, starts = _layer_pairs(m)
-        for _ in range(n - 2):
+
+    def __init__(self, inst: Instance, budget: int = DEFAULT_ENUM_BUDGET):
+        m, n = inst.m, inst.n
+        self.n = n
+        self.table = self.pairs = None
+        if n == 1:
+            return
+        cells = (n - 2) * 3**m + 2**m
+        if cells > budget:
+            raise BudgetExceeded(f"n={n}, m={m} needs {cells} subset-DP cells, over budget {budget}")
+        self.table = value_table(inst.valuation)
+        if n > 2:
+            self.pairs = _layer_pairs(m)
+
+    def at(self, p: float) -> Callable[[int, int], tuple[int, ...]]:
+        """best(goods, agents): an allocation of the goods bitmask among agents
+        <= n that maximizes the p-mean of bundle values, as global bitmasks."""
+        if self.table is None:  # one agent, who takes every good
+            return partial(_rebuild, [], None)
+        g, combine = _scores(self.table, p)
+        layers = [g]  # layers[k - 1][S] = F_k[S]
+        for _ in range(self.n - 2):
+            sub, rest, starts = self.pairs
             cand = g[sub]
             combine(cand, layers[-1][rest], out=cand)
             layers.append(np.maximum.reduceat(cand, starts))
+        return partial(_rebuild, layers, combine)
+
+
+def _rebuild(layers: list, combine, goods: int, agents: int) -> tuple[int, ...]:
+    """Top-down: each agent takes the lowest submask of the goods left that
+    scores best with the best split of the rest among the agents after it.
+
+    Restricting a valuation keeps the order of its goods, so F_k at a goods set
+    is the same float as the restricted instance's and its submasks come in the
+    same order: the result is the restricted instance's own tie-break.
+    """
+    if agents == 1:
+        return (goods,)
+    g = layers[0]
     bundles = []
-    left = full_set(m)
-    for prev in reversed(layers):
+    left = goods
+    for prev in reversed(layers[1 : agents - 1]):
         subs = _submasks(left)
         scores = g[subs]
         combine(scores, prev[left ^ subs], out=scores)
         pick = int(subs[np.argmax(scores)])
         bundles.append(pick)
         left ^= pick
-    return tuple(bundles) + (left,)
+    # Two bundles left: T and its complement score the same, as every combine
+    # is commutative bit for bit, so the lowest best T lacks left's top good.
+    half = left ^ (1 << left.bit_length() >> 1)
+    if left & (left + 1) == 0:  # left is goods 0 .. j: the half is 0 .. half, a slice
+        scores = np.empty(half + 1)
+        combine(g[: half + 1], g[left - half : left + 1][::-1], out=scores)
+        pick = int(np.argmax(scores))
+    else:
+        subs = _submasks(half)
+        scores = g[subs]
+        combine(scores, g[left ^ subs], out=scores)
+        pick = int(subs[np.argmax(scores)])
+    return tuple(bundles) + (pick, left ^ pick)
+
+
+def best_partition(inst: Instance, p: float, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, ...]:
+    """An allocation maximizing the p-mean of bundle values, by subset DP (see SubsetDP)."""
+    return SubsetDP(inst, budget).at(p)(full_set(inst.m), inst.n)
 
 
 def _greedy_sw(inst: Instance) -> SwEstimate:

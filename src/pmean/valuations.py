@@ -12,6 +12,7 @@ function and safe to call concurrently.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence, Union
@@ -57,10 +58,10 @@ def _check_subset(subset: int, m: int) -> None:
         raise ValueError(f"subset {subset:#x} has bits outside 0..{m - 1}")
 
 
-def _check_weights(weights: Sequence[float]) -> tuple[float, ...]:
-    out = tuple(float(w) for w in weights)
-    if any(w < 0.0 for w in out):
-        raise ValueError("weights must be nonnegative")
+def _check_weights(weights: Sequence[float], field: str = "weights") -> tuple[float, ...]:
+    out = tuple(map(float, weights))
+    if any(not 0.0 <= w < math.inf for w in out):  # NaN fails both comparisons
+        raise ValueError(f"{field} must be finite and nonnegative")
     return out
 
 
@@ -88,8 +89,8 @@ class BudgetAdditive:
     def __post_init__(self):
         object.__setattr__(self, "weights", _check_weights(self.weights))
         object.__setattr__(self, "cap", float(self.cap))
-        if self.cap < 0.0:
-            raise ValueError("cap must be nonnegative")
+        if not 0.0 <= self.cap < math.inf:
+            raise ValueError("cap must be finite and nonnegative")
 
     @property
     def m(self) -> int:
@@ -103,7 +104,7 @@ class Xos:
     clauses: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        clauses = tuple(_check_weights(c) for c in self.clauses)
+        clauses = tuple(_check_weights(c, "clause weights") for c in self.clauses)
         if not clauses:
             raise ValueError("need at least one clause")
         if len({len(c) for c in clauses}) != 1:
@@ -126,7 +127,7 @@ class ExplicitTable:
     table: tuple[float, ...]
 
     def __post_init__(self):
-        table = tuple(float(x) for x in self.table)
+        table = tuple(map(float, self.table))
         size = len(table)
         if size == 0 or size & (size - 1):
             raise ValueError("table length must be a power of two")
@@ -134,8 +135,8 @@ class ExplicitTable:
             raise SizeLimitExceeded(
                 f"explicit tables support at most {EXPLICIT_MAX_GOODS} goods"
             )
-        if any(x < 0.0 for x in table):
-            raise ValueError("table values must be nonnegative")
+        if any(not 0.0 <= x < math.inf for x in table):
+            raise ValueError("table values must be finite and nonnegative")
         object.__setattr__(self, "table", table)
 
     @property
@@ -346,7 +347,10 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    return Instance(int(data["n"]), valuation_from_dict(data["valuation"]))
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    return Instance(n, valuation_from_dict(data["valuation"]))
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:

@@ -2,12 +2,19 @@
 
 import numpy as np
 
+from pmean.allocator import CONSTANTS, AlgTrace, alg_low
+from pmean.swmax import EXACT, sw_estimate
 from pmean.valuations import (
+    EPS,
     Additive,
     BudgetAdditive,
     ExplicitTable,
+    Instance,
     Xos,
+    goods_of,
     iter_goods,
+    mask_of,
+    restrict,
     value,
 )
 
@@ -36,3 +43,30 @@ def brute_demand(v, prices):
         if util > best_util:
             best_util, best = util, s
     return best, best_util
+
+
+def alg_by_restriction(inst, backend=EXACT):
+    """alg with every welfare estimate made on its own sub-instance: phase one
+    calls sw_estimate on the valuation restricted to the goods left, and phase
+    two runs alg_low on the restricted tail, which estimates it once more."""
+    v = inst.valuation
+    order = sorted(range(inst.m), key=lambda j: (-value(v, 1 << j), j))
+    singles, f_values = [], []
+    agents, next_pick = inst.n, 0
+    while agents > 1 and next_pick < inst.m:
+        g = order[next_pick]
+        top_value = value(v, 1 << g)
+        if top_value <= 0.0:
+            break
+        sub = Instance(agents, restrict(v, sorted(order[next_pick:])))
+        f_values.append(sw_estimate(sub, backend).f_value)
+        if top_value < f_values[-1] / CONSTANTS.phase1_divisor - EPS:
+            break
+        singles.append(g)
+        agents -= 1
+        next_pick += 1
+    leftover = sorted(order[next_pick:])
+    local = alg_low(Instance(agents, restrict(v, leftover)), backend)
+    phase2 = [mask_of(leftover[j] for j in goods_of(b)) for b in local]
+    trace = AlgTrace(len(singles), singles, f_values, phase2)
+    return tuple(1 << g for g in singles) + tuple(phase2), trace

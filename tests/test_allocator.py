@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from pmean import swmax
 from pmean.allocator import CONSTANTS, AlgConstants, alg, alg_low, extract_subbundles
+from pmean.cli import generate_instance
 from pmean.errors import PreconditionViolated
 from pmean.means import p_mean
-from pmean.swmax import enumerate_labeled_partitions, sw_estimate
+from pmean.swmax import EXACT, GREEDY, enumerate_labeled_partitions, sw_estimate
 from pmean.valuations import (
     EPS,
     Additive,
@@ -18,7 +20,7 @@ from pmean.valuations import (
     value,
 )
 
-from helpers import FAMILIES, random_valuation
+from helpers import FAMILIES, alg_by_restriction, random_valuation
 
 
 def rescan_opt1(inst):
@@ -99,6 +101,53 @@ def test_phase_one_threshold_replays_from_trace(family, seed):
     assert (trace_again.k, trace_again.singleton_goods, trace_again.f_values,
             trace_again.phase2_bundles) == (
         trace.k, trace.singleton_goods, trace.f_values, trace.phase2_bundles)
+
+
+@pytest.mark.parametrize("backend", (EXACT, GREEDY))
+def test_shared_pass_matches_restricted_reference(backend):
+    # the exact backend reads every phase-one estimate from one p = 1 DP over
+    # the whole instance, and both backends re-cut the estimate that stopped
+    # phase one; m = 10, 12 makes alg_low split among two or three agents
+    shapes = ((2, 5, 4), (3, 7, 4), (4, 6, 2), (2, 10, 8), (3, 10, 4), (2, 12, 8), (3, 12, 4))
+    splits = 0
+    for family in FAMILIES:
+        for n, m, seeds in shapes:
+            for seed in range(seeds):
+                inst = generate_instance(family, n, m, seed)
+                got = alg(inst, backend)
+                assert repr(got) == repr(alg_by_restriction(inst, backend))
+                splits += n - got[1].k >= 2
+    print(f"{backend}: alg_low split among >= 2 agents on {splits} instances")
+    assert splits >= 10
+
+
+def test_exact_alg_tabulates_the_valuation_once(monkeypatch):
+    value_table = swmax.value_table
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return value_table(v)
+
+    monkeypatch.setattr(swmax, "value_table", counted)
+    _, trace = alg(generate_instance("xos", 4, 8, 3))
+    assert len(trace.f_values) >= 2
+    assert len(calls) == 1
+
+
+def test_phase_two_reuses_the_estimate_that_stopped_phase_one(monkeypatch):
+    from pmean import allocator
+
+    calls = []
+
+    def counted(inst, *args):
+        calls.append(inst)
+        return sw_estimate(inst, *args)
+
+    monkeypatch.setattr(allocator, "sw_estimate", counted)
+    _, trace = alg(generate_instance("xos", 3, 12, 4), GREEDY)
+    assert trace.k == 1 and len(trace.f_values) == 2  # stopped below the bar, two agents left
+    assert len(calls) == 2
 
 
 def test_alg_low_single_bundle():

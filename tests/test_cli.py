@@ -102,16 +102,36 @@ def test_verify_reports_violations_with_exit_one(instance_file, capsys, monkeypa
     # the exit contract, driven by a sham oracle that inflates the optimum
     from pmean.oracle import OptResult
 
-    real = cli.p_opt_brute
+    real = cli.p_opt_grid
 
-    def inflated(inst, p, budget):
-        res = real(inst, p, budget)
-        return OptResult(res.p, res.alloc, res.welfare * 1000.0)
+    def inflated(inst, ps, budget):
+        return [OptResult(r.p, r.alloc, r.welfare * 1000.0) for r in real(inst, ps, budget)]
 
-    monkeypatch.setattr(cli, "p_opt_brute", inflated)
+    monkeypatch.setattr(cli, "p_opt_grid", inflated)
     code, out = run(capsys, "verify", "--instance", instance_file, "--p=1")
     assert code == 1
     assert json.loads(out)["table"][0]["status"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "n, valuation, field",
+    [
+        (2, {"type": "additive", "weights": [float("nan"), 1.0, 2.0]}, "weights"),
+        (2, {"type": "budget_additive", "weights": [1.0, 2.0], "cap": float("inf")}, "cap"),
+        (2.7, {"type": "additive", "weights": [1.0, 2.0, 3.0]}, "n"),
+        (2, {"type": "xos", "clauses": [[1.0, float("-inf")]]}, "clause weights"),
+        (2, {"type": "explicit", "table": [0.0, 1.0, float("inf"), 2.0]}, "table values"),
+    ],
+    ids=["nan-weight", "infinite-cap", "fractional-n", "infinite-clause", "infinite-table"],
+)
+def test_verify_rejects_a_bad_field_with_exit_two(tmp_path, capsys, n, valuation, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": n, "valuation": valuation}))  # NaN / Infinity tokens
+    code = cli.main(["verify", "--instance", str(path), "--p=-inf,0,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be")
 
 
 def test_verify_csv_rows_mirror_json(instance_file, capsys):

@@ -1,12 +1,14 @@
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from pmean.errors import BudgetExceeded
 from pmean.means import NEG_INF, p_mean, p_mean_welfare
-from pmean.oracle import check_monotonicity, check_structural_lemma, p_opt_brute
-from pmean.swmax import enumerate_labeled_partitions, sw_estimate
+from pmean.oracle import check_monotonicity, check_structural_lemma, p_opt_brute, p_opt_grid
+from pmean.swmax import best_partition, enumerate_labeled_partitions, sw_estimate
 from pmean.valuations import Additive, BudgetAdditive, ExplicitTable, Instance, Xos, value
 
 from helpers import FAMILIES, random_valuation
@@ -83,6 +85,54 @@ def test_matches_pure_python_rescan(family, seed):
             res = p_opt_brute(inst, p)
             assert res.welfare == pytest.approx(p_mean_welfare(inst, res.alloc, p), abs=1e-9)
             assert res.welfare == pytest.approx(expected, abs=1e-9)
+
+
+def rescan_tie_break(inst, p):
+    """The optimum best_partition returns, by enumerating every labeled
+    partition with exact scores (integer values summed or minimized): the best
+    score, then the lowest first bundle, then the best score of the bundles
+    after it, the lowest second bundle, and so on.  At p = 1 that is the
+    lexicographically smallest optimal partition.  At p = -inf it is not always:
+    a lower later bundle can keep the minimum without splitting the rest best."""
+    vals = [value(inst.valuation, s) for s in range(1 << inst.m)]
+    combine = min if p == NEG_INF else operator.add
+    best_key, best = None, None
+    for labels in itertools.product(range(inst.n), repeat=inst.m):
+        bundles = [0] * inst.n
+        for j, agent in enumerate(labels):
+            bundles[agent] |= 1 << j
+        key, score = [], None
+        for b in reversed(bundles):
+            score = vals[b] if score is None else combine(vals[b], score)
+            key[:0] = (-score, b)
+        if best_key is None or key < best_key:
+            best_key, best = key, tuple(bundles)
+    return best
+
+
+def integer_valuations(rng, m):
+    """Integer-valued draws, so every sum is exact: all-equal goods, goods worth
+    nothing, a binding cap, and XOS clauses as formulas and as a table."""
+    equal = (5.0,) * m
+    zeros = tuple(float(x) if j % 3 else 0.0 for j, x in enumerate(rng.integers(1, 10, m)))
+    drawn = tuple(float(x) for x in rng.integers(0, 10, m))
+    return [
+        Additive(equal),
+        Additive(zeros),
+        BudgetAdditive(drawn, float(sum(drawn) // 2)),
+        Xos((zeros, drawn)),
+        ExplicitTable(tuple(value(Xos((equal, drawn)), s) for s in range(1 << m))),
+    ]
+
+
+def test_tie_break_is_the_rescan_minimum():
+    rng = np.random.default_rng(1300)
+    for n, m in ((2, 6), (3, 5), (3, 6), (4, 3), (4, 5)):
+        for v in integer_valuations(rng, m):
+            inst = Instance(n, v)
+            for p in (NEG_INF, 1.0):
+                assert best_partition(inst, p) == rescan_tie_break(inst, p)
+            assert p_opt_grid(inst, P_GRID) == [p_opt_brute(inst, p) for p in P_GRID]
 
 
 def test_extreme_exponents_match_rescan():
