@@ -8,10 +8,11 @@ no good clears the bar: it asks the welfare subroutine for a near-optimal
 allocation, then re-cuts its high-value bundles good by good so every remaining
 agent ends up with at least a 1/20 fraction of the estimate.
 
-Inside alg, the exact subroutine is one p = 1 subset DP over the whole instance
-(swmax.SubsetDP); every phase-one estimate is read from it without restricting
-the valuation, and phase two re-cuts the estimate that stopped phase one
-instead of computing it again.
+Inside alg, every estimate comes from one swmax.estimator on goods bitmasks,
+for either backend: the exact one reads each sub-instance's optimum from a
+single p = 1 subset DP over the whole instance, the greedy one deals the goods
+left round-robin, and neither restricts the valuation.  Phase two re-cuts the
+estimate that stopped phase one instead of computing it again.
 
 All threshold comparisons accept an absolute slack of EPS on the >= side.
 Every tie is broken by ascending good index (bundle sorts by descending value,
@@ -20,13 +21,11 @@ then ascending original position), so identical inputs give identical outputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import PreconditionViolated
-from .means import bundle_values
-from .swmax import DEFAULT_ENUM_BUDGET, EXACT, SubsetDP, sw_estimate
-from .valuations import EPS, Instance, full_set, goods_of, mask_of, restrict, value
+from .swmax import DEFAULT_ENUM_BUDGET, EXACT, estimator, sw_estimate
+from .valuations import EPS, Instance, full_set, goods_of, mask_of, value
 
 
 @dataclass(frozen=True)
@@ -58,38 +57,6 @@ class AlgTrace:
     phase2_bundles: list[int] = field(default_factory=list)
 
 
-def _expand(local_mask: int, goods: list[int]) -> int:
-    mask = 0
-    for j in goods_of(local_mask):
-        mask |= 1 << goods[j]
-    return mask
-
-
-def _estimator(inst: Instance, backend: str, budget: int):
-    """estimate(agents, goods): a welfare-subroutine allocation of the listed
-    goods among that many agents, as global bitmasks, and its f_value.
-
-    The exact backend runs one p = 1 subset DP on the whole instance and reads
-    every sub-instance's optimum from it; other backends restrict the valuation
-    and call sw_estimate.
-    """
-    v = inst.valuation
-    if backend == EXACT:
-        best = SubsetDP(inst, budget).at(1.0)
-
-        def exact(agents: int, goods: list[int]) -> tuple[tuple[int, ...], float]:
-            alloc = best(mask_of(goods), agents)
-            return alloc, math.fsum(value(v, b) for b in alloc) / agents
-
-        return exact
-
-    def restricted(agents: int, goods: list[int]) -> tuple[tuple[int, ...], float]:
-        est = sw_estimate(Instance(agents, restrict(v, goods)), backend, budget)
-        return tuple(_expand(b, goods) for b in est.alloc), est.f_value
-
-    return restricted
-
-
 def alg(
     inst: Instance,
     backend: str = EXACT,
@@ -106,7 +73,7 @@ def alg(
     """
     v = inst.valuation
     order = sorted(range(inst.m), key=lambda j: (-value(v, 1 << j), j))
-    estimate = _estimator(inst, backend, budget)
+    estimate = estimator(inst, backend, budget)
 
     trace = AlgTrace()
     singles: list[int] = []
@@ -119,18 +86,18 @@ def alg(
         top_value = value(v, 1 << g)
         if top_value <= 0.0:
             break
-        alloc, f = estimate(agents_left, sorted(order[next_pick:]))
-        trace.f_values.append(f)
-        if top_value < f / constants.phase1_divisor - EPS:
-            est = alloc, f
+        tail = estimate(mask_of(order[next_pick:]), agents_left)
+        trace.f_values.append(tail.f_value)
+        if top_value < tail.f_value / constants.phase1_divisor - EPS:
+            est = tail
             break
         singles.append(g)
         agents_left -= 1
         next_pick += 1
 
-    leftover = sorted(order[next_pick:])
-    alloc, f = est or estimate(agents_left, leftover)
-    phase2 = _recut(v, alloc, f, mask_of(leftover), constants)
+    leftover = mask_of(order[next_pick:])
+    est = est or estimate(leftover, agents_left)
+    phase2 = _recut(v, est.alloc, est.f_value, leftover, constants)
 
     trace.k = len(singles)
     trace.singleton_goods = list(singles)

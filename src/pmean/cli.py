@@ -33,12 +33,14 @@ from .means import bundle_values, p_mean_welfare, parse_exponent
 from .oracle import p_opt_grid
 from .swmax import BACKENDS, DEFAULT_ENUM_BUDGET, EXACT
 from .valuations import (
+    AXIOM_SCAN_MAX_GOODS,
     EPS,
     Additive,
     BudgetAdditive,
     ExplicitTable,
     Instance,
     Xos,
+    check_axioms,
     goods_of,
     load_instance,
     save_instance,
@@ -130,6 +132,22 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _load_model_instance(path: str) -> Instance:
+    """load_instance, plus the axiom scan for explicit tables small enough to
+    scan: the solver's guarantee needs a normalized, monotone, subadditive v."""
+    inst = load_instance(path)
+    v = inst.valuation
+    if isinstance(v, ExplicitTable) and v.m <= AXIOM_SCAN_MAX_GOODS:
+        report = check_axioms(v)
+        axioms = ("normalized", "monotone", "subadditive")
+        fails = [name for name in axioms if not getattr(report, name)]
+        if fails:
+            raise PmeanError(
+                f"table must be normalized, monotone and subadditive (fails: {', '.join(fails)})"
+            )
+    return inst
+
+
 def _solve_report(inst: Instance, ps, backend: str, budget: int) -> dict:
     start = time.perf_counter()
     alloc, trace = alg(inst, backend, budget)
@@ -155,7 +173,7 @@ def _solve_report(inst: Instance, ps, backend: str, budget: int) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
+    inst = _load_model_instance(args.instance)
     report = _solve_report(inst, _parse_p_list(args.p), args.sw_backend, _resolve_budget(args.budget))
     report["command"] = "solve"
     report["instance"] = args.instance
@@ -186,7 +204,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    inst = load_instance(args.instance)
+    inst = _load_model_instance(args.instance)
     budget = _resolve_budget(args.budget)
     ps = _parse_p_list(args.p)
     start = time.perf_counter()

@@ -1,14 +1,15 @@
 """Social-welfare subroutine: allocations with known average-welfare quality.
 
 Both solver phases consult this module for an allocation whose average social
-welfare (the f_value) they can trust.  The exact backend is the subset DP the
-oracle runs at every exponent, optimal by construction: SubsetDP builds the
-per-instance part once (value table, layer pairs) and at(p) the per-exponent
-layers, from which the best split of any goods set among any number of agents
-up to n is rebuilt, so one p = 1 pass serves every estimate of an alg run.  The
-greedy backend is a cheap demand-query heuristic with no claimed guarantee.
-A half_approx tag is reserved for backends that promise at least half the
-optimal average welfare, the contract the solver's analysis actually consumes.
+welfare (the f_value) they can trust.  estimator(inst, backend) answers for
+any goods bitmask and any number of agents up to n, on global bitmasks, and
+sw_estimate is its answer for the whole instance.  The exact backend is the
+subset DP the oracle runs at every exponent, optimal by construction: SubsetDP
+builds the per-instance part once (value table, layer pairs) and at(p) the
+per-exponent layers, from which the best split of any goods set among any
+number of agents is rebuilt, so one p = 1 pass serves every estimate of an alg
+run.  The greedy backend deals the goods round-robin in ascending index, with
+no demand query, no table and no claimed guarantee.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .means import SMALL_EXPONENT_BAND
-from .valuations import Instance, demand, full_set, goods_of, restrict, value, value_table
+from .valuations import Instance, full_set, goods_of, value, value_table
 
 DEFAULT_ENUM_BUDGET = 10_000_000
 
@@ -36,7 +37,6 @@ _CHUNK = 1 << 15
 
 class Guarantee(enum.Enum):
     EXACT = "exact"
-    HALF_APPROX = "half_approx"
     HEURISTIC = "heuristic"
 
 
@@ -204,43 +204,42 @@ def _rebuild(layers: list, combine, goods: int, agents: int) -> tuple[int, ...]:
     return tuple(bundles) + (pick, left ^ pick)
 
 
-def best_partition(inst: Instance, p: float, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, ...]:
-    """An allocation maximizing the p-mean of bundle values, by subset DP (see SubsetDP)."""
-    return SubsetDP(inst, budget).at(p)(full_set(inst.m), inst.n)
+def _round_robin(goods: int, agents: int) -> tuple[int, ...]:
+    """Deal the goods of a bitmask to the agents in ascending index, one at a time."""
+    bundles = [0] * agents
+    for turn, g in enumerate(goods_of(goods)):
+        bundles[turn % agents] |= 1 << g
+    return tuple(bundles)
 
 
-def _greedy_sw(inst: Instance) -> SwEstimate:
-    """Deal demand-query picks round-robin: repeatedly query the demanded set of
-    the remaining goods at zero prices and hand its goods out one per agent."""
+def estimator(
+    inst: Instance, backend: str = EXACT, budget: int = DEFAULT_ENUM_BUDGET
+) -> Callable[[int, int], SwEstimate]:
+    """estimate(goods, agents): the backend's allocation of a goods bitmask
+    among agents <= n, as global bitmasks, and its average welfare.
+
+    exact: the optimum, from one p = 1 subset DP on the whole instance
+    (Guarantee.EXACT).  greedy: the round-robin deal (Guarantee.HEURISTIC).
+    """
+    if backend == EXACT:
+        best, guarantee = SubsetDP(inst, budget).at(1.0), Guarantee.EXACT
+    elif backend == GREEDY:
+        best, guarantee = _round_robin, Guarantee.HEURISTIC
+    else:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     v = inst.valuation
-    bundles = [0] * inst.n
-    remaining = goods_of(full_set(inst.m))
-    turn = 0
-    while remaining:
-        sub = restrict(v, remaining)
-        picked_local, _ = demand(sub, [0.0] * len(remaining))
-        picked = [remaining[j] for j in goods_of(picked_local)] or list(remaining)
-        for g in picked:
-            bundles[turn % inst.n] |= 1 << g
-            turn += 1
-        remaining = [g for g in remaining if g not in set(picked)]
-    f = math.fsum(value(v, b) for b in bundles) / inst.n
-    return SwEstimate(tuple(bundles), f, Guarantee.HEURISTIC)
+
+    def estimate(goods: int, agents: int) -> SwEstimate:
+        alloc = best(goods, agents)
+        return SwEstimate(alloc, math.fsum(value(v, b) for b in alloc) / agents, guarantee)
+
+    return estimate
 
 
 def sw_estimate(
     inst: Instance, backend: str = EXACT, budget: int = DEFAULT_ENUM_BUDGET
 ) -> SwEstimate:
-    """Allocation plus its average social welfare, per the selected backend.
-
-    exact: true optimum over all partitions, by subset DP (Guarantee.EXACT).
-    greedy: demand-query round-robin heuristic (Guarantee.HEURISTIC); its
-    quality is measured against the exact backend in tests, never assumed.
-    """
-    if backend == EXACT:
-        alloc = best_partition(inst, 1.0, budget)
-        f = math.fsum(value(inst.valuation, b) for b in alloc) / inst.n
-        return SwEstimate(alloc, f, Guarantee.EXACT)
-    if backend == GREEDY:
-        return _greedy_sw(inst)
-    raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    """Allocation of the whole instance plus its average social welfare, per the
+    selected backend (see estimator).  The greedy deal's quality is measured
+    against the exact backend in tests, never assumed."""
+    return estimator(inst, backend, budget)(full_set(inst.m), inst.n)

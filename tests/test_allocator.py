@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pmean import swmax
+from pmean import allocator, swmax, valuations
 from pmean.allocator import CONSTANTS, AlgConstants, alg, alg_low, extract_subbundles
 from pmean.cli import generate_instance
 from pmean.errors import PreconditionViolated
@@ -17,6 +17,7 @@ from pmean.valuations import (
     Instance,
     Xos,
     full_set,
+    mask_of,
     value,
 )
 
@@ -136,18 +137,35 @@ def test_exact_alg_tabulates_the_valuation_once(monkeypatch):
 
 
 def test_phase_two_reuses_the_estimate_that_stopped_phase_one(monkeypatch):
-    from pmean import allocator
-
     calls = []
+    deal = swmax._round_robin
 
-    def counted(inst, *args):
-        calls.append(inst)
-        return sw_estimate(inst, *args)
+    def counted(goods, agents):
+        calls.append((goods, agents))
+        return deal(goods, agents)
 
-    monkeypatch.setattr(allocator, "sw_estimate", counted)
+    monkeypatch.setattr(swmax, "_round_robin", counted)
     _, trace = alg(generate_instance("xos", 3, 12, 4), GREEDY)
     assert trace.k == 1 and len(trace.f_values) == 2  # stopped below the bar, two agents left
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_greedy_backend_makes_no_demand_restrict_or_table_query(monkeypatch, family):
+    def refuse(*args):
+        raise AssertionError("the greedy backend made a demand, restrict or value_table call")
+
+    for module in (valuations, swmax, allocator):
+        for name in ("demand", "restrict", "value_table"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for n, m in ((1, 5), (2, 7), (3, 12)):
+        for seed in range(3):
+            inst = generate_instance(family, n, m, seed)
+            est = sw_estimate(inst, GREEDY)
+            assert est.alloc == tuple(mask_of(range(a, m, n)) for a in range(n))
+            alloc, _ = alg(inst, GREEDY)
+            assert_complete(alloc, n, m)
 
 
 def test_alg_low_single_bundle():

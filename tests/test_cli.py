@@ -113,6 +113,19 @@ def test_verify_reports_violations_with_exit_one(instance_file, capsys, monkeypa
     assert json.loads(out)["table"][0]["status"] == "fail"
 
 
+def test_greedy_solve_deals_wide_budget_additive_instances(tmp_path, capsys):
+    # budget-additive demand queries tabulate 2^m subsets and stop at m = 24;
+    # the greedy deal makes none, so m = 40 solves
+    path = str(tmp_path / "wide.json")
+    run(capsys, "gen", "--family", "budget_additive", "--n", "8", "--m", "40",
+        "--seed", "1", "--out", path)
+    code, out = run(capsys, "solve", "--instance", path, "--p=0,1", "--sw-backend", "greedy")
+    assert code == 0
+    bundles = json.loads(out)["allocation"]
+    assert len(bundles) == 8
+    assert sorted(g for b in bundles for g in b) == list(range(40))
+
+
 @pytest.mark.parametrize(
     "n, valuation, field",
     [
@@ -121,8 +134,10 @@ def test_verify_reports_violations_with_exit_one(instance_file, capsys, monkeypa
         (2.7, {"type": "additive", "weights": [1.0, 2.0, 3.0]}, "n"),
         (2, {"type": "xos", "clauses": [[1.0, float("-inf")]]}, "clause weights"),
         (2, {"type": "explicit", "table": [0.0, 1.0, float("inf"), 2.0]}, "table values"),
+        (2, {"type": "explicit", "table": [0, 1, 1, 10]}, "table"),
     ],
-    ids=["nan-weight", "infinite-cap", "fractional-n", "infinite-clause", "infinite-table"],
+    ids=["nan-weight", "infinite-cap", "fractional-n", "infinite-clause", "infinite-table",
+         "superadditive-table"],
 )
 def test_verify_rejects_a_bad_field_with_exit_two(tmp_path, capsys, n, valuation, field):
     path = tmp_path / "bad.json"

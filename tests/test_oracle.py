@@ -8,7 +8,7 @@ import pytest
 from pmean.errors import BudgetExceeded
 from pmean.means import NEG_INF, p_mean, p_mean_welfare
 from pmean.oracle import check_monotonicity, check_structural_lemma, p_opt_brute, p_opt_grid
-from pmean.swmax import best_partition, enumerate_labeled_partitions, sw_estimate
+from pmean.swmax import enumerate_labeled_partitions, sw_estimate
 from pmean.valuations import Additive, BudgetAdditive, ExplicitTable, Instance, Xos, value
 
 from helpers import FAMILIES, random_valuation
@@ -88,7 +88,7 @@ def test_matches_pure_python_rescan(family, seed):
 
 
 def rescan_tie_break(inst, p):
-    """The optimum best_partition returns, by enumerating every labeled
+    """The optimum p_opt_brute returns, by enumerating every labeled
     partition with exact scores (integer values summed or minimized): the best
     score, then the lowest first bundle, then the best score of the bundles
     after it, the lowest second bundle, and so on.  At p = 1 that is the
@@ -131,7 +131,7 @@ def test_tie_break_is_the_rescan_minimum():
         for v in integer_valuations(rng, m):
             inst = Instance(n, v)
             for p in (NEG_INF, 1.0):
-                assert best_partition(inst, p) == rescan_tie_break(inst, p)
+                assert p_opt_brute(inst, p).alloc == rescan_tie_break(inst, p)
             assert p_opt_grid(inst, P_GRID) == [p_opt_brute(inst, p) for p in P_GRID]
 
 

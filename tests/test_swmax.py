@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from pmean.errors import BudgetExceeded
+from pmean.oracle import p_opt_brute
 from pmean.swmax import (
     EXACT,
     GREEDY,
     Guarantee,
-    best_partition,
     enumerate_labeled_partitions,
     sw_estimate,
 )
@@ -45,9 +45,9 @@ def test_budget_guard():
     # the budget counts DP cells: (n - 2) * 3^m + 2^m
     inst = Instance(4, Additive((1.0,) * 5))
     cells = 2 * 3**5 + 2**5
-    assert len(best_partition(inst, 1.0, budget=cells)) == 4
+    assert len(p_opt_brute(inst, 1.0, budget=cells).alloc) == 4
     with pytest.raises(BudgetExceeded):
-        best_partition(inst, 1.0, budget=cells - 1)
+        p_opt_brute(inst, 1.0, budget=cells - 1)
 
 
 def test_single_agent_gets_everything():
