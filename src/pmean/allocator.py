@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PreconditionViolated
-from .swmax import DEFAULT_ENUM_BUDGET, EXACT, estimator, sw_estimate
+from .swmax import DEFAULT_ENUM_BUDGET, EXACT, Guarantee, estimator, sw_estimate
 from .valuations import EPS, Instance, full_set, goods_of, mask_of, value
 
 
@@ -49,12 +49,14 @@ CONSTANTS = AlgConstants()
 
 @dataclass
 class AlgTrace:
-    """What phase one did: singleton picks and the welfare estimate behind each test."""
+    """What phase one did: singleton picks and the welfare estimate behind each
+    test; what phase two cut; and the guarantee of the estimates alg used."""
 
     k: int = 0
     singleton_goods: list[int] = field(default_factory=list)
     f_values: list[float] = field(default_factory=list)
     phase2_bundles: list[int] = field(default_factory=list)
+    guarantee: Guarantee | None = None
 
 
 def alg(
@@ -102,6 +104,7 @@ def alg(
     trace.k = len(singles)
     trace.singleton_goods = list(singles)
     trace.phase2_bundles = list(phase2)
+    trace.guarantee = est.guarantee
     return tuple(1 << g for g in singles) + tuple(phase2), trace
 
 

@@ -100,12 +100,21 @@ def _parse_p_list(text: str) -> list[tuple[str, float]]:
 
 
 def _resolve_budget(flag: int | None) -> int:
+    """The exact engine's cell budget: --budget, else PMEAN_BUDGET, else the
+    default; whichever is given must be a positive integer."""
     if flag is not None:
-        return flag
-    env = os.environ.get("PMEAN_BUDGET")
-    if env is not None:
-        return int(env)
-    return DEFAULT_ENUM_BUDGET
+        source, raw = "--budget", flag
+    elif "PMEAN_BUDGET" in os.environ:
+        source, raw = "PMEAN_BUDGET", os.environ["PMEAN_BUDGET"]
+    else:
+        return DEFAULT_ENUM_BUDGET
+    try:
+        budget = int(raw)
+        if budget >= 1:
+            return budget
+    except ValueError:
+        pass
+    raise PmeanError(f"{source} must be a positive integer, got {raw!r}")
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -159,6 +168,7 @@ def _solve_report(inst: Instance, ps, backend: str, budget: int) -> dict:
         "n": inst.n,
         "m": inst.m,
         "sw_backend": backend,
+        "guarantee": trace.guarantee.value,
         "allocation": _bundles_as_lists(alloc),
         "bundle_values": bundle_values(inst, alloc),
         "trace": {

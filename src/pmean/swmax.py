@@ -33,6 +33,7 @@ GREEDY = "greedy"
 BACKENDS = (EXACT, GREEDY)
 
 _CHUNK = 1 << 15
+_BLOCK = 1 << 16  # (S, T) pairs, or last-two-bundle splits, per block of the subset DP
 
 
 class Guarantee(enum.Enum):
@@ -87,17 +88,25 @@ def _scores(table: np.ndarray, p: float):
 
     p < 0 ranks by -log(sum of v^p), so no power of a tiny or huge value
     overflows; near p = 0, sum((v^p - 1) / p) keeps digits that sum(v^p) rounds away.
+    At p = 1 and p = -inf the score is the table itself (v^1 is v bit for bit),
+    and the log-domain scores are computed in place: at most one float array of
+    2^m is made.
     """
+    if p == -math.inf:
+        return table, np.minimum
+    if p == 1.0:
+        return table, np.add
+    if p >= SMALL_EXPONENT_BAND:
+        return table**p, np.add
     with np.errstate(divide="ignore"):
-        if p == -math.inf:
-            return table, np.minimum
-        if p == 0.0:
-            return np.log(table), np.add
-        if abs(p) < SMALL_EXPONENT_BAND:
-            return np.expm1(p * np.log(table)) / p, np.add
-        if p > 0.0:
-            return table**p, np.add
-        return -p * np.log(table), _neg_log_sum
+        g = np.log(table)
+    if p == 0.0:
+        return g, np.add
+    if abs(p) < SMALL_EXPONENT_BAND:
+        np.multiply(g, p, out=g)
+        np.expm1(g, out=g)
+        return np.divide(g, p, out=g), np.add
+    return np.multiply(g, -p, out=g), _neg_log_sum
 
 
 def _submasks(subset: int) -> np.ndarray:
@@ -108,10 +117,13 @@ def _submasks(subset: int) -> np.ndarray:
     return out
 
 
-def _layer_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _layer_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """(T, S minus T) for every S and every T within S holding S's lowest good
-    (some bundle of any partition of S does), grouped by S ascending, and the
-    group starts.  T number k of a group spreads the bits of k over S's other goods."""
+    (some bundle of any partition of S does), grouped by S ascending, the group
+    starts, and the block bounds (S lo, S hi, pair lo, pair hi): runs of whole S
+    groups of about _BLOCK pairs, which the middle layers fill one at a time.
+    The pairs are built block by block too, so no temporary outgrows a block.
+    """
     counts = np.zeros(1, dtype=np.int64)
     for _ in range(m):
         counts = np.concatenate([counts, counts + 1])
@@ -119,15 +131,39 @@ def _layer_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     wholes = np.arange(1 << m, dtype=dtype)
     sizes = 1 << (counts - (wholes > 0))
     starts = np.cumsum(sizes) - sizes
+    total = (3**m + 1) // 2
+    if total <= _BLOCK:  # one block: the arrays are the block's own
+        sub, rest = _pair_block(wholes, sizes, starts, m)
+        return sub, rest, starts, [(0, 1 << m, 0, total)]
+    # a block starts with the group that holds pair number i * _BLOCK
+    cuts = np.unique(np.searchsorted(starts, np.arange(0, total, _BLOCK), "right") - 1).tolist()
+    cuts.append(1 << m)
+    sub = np.empty(total, dtype=dtype)
+    rest = np.empty(total, dtype=dtype)
+    bounds = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        p_lo = int(starts[lo])
+        p_hi = int(starts[hi]) if hi < 1 << m else total
+        sub[p_lo:p_hi], rest[p_lo:p_hi] = _pair_block(
+            wholes[lo:hi], sizes[lo:hi], starts[lo:hi] - p_lo, m
+        )
+        bounds.append((lo, hi, p_lo, p_hi))
+    return sub, rest, starts, bounds
+
+
+def _pair_block(wholes: np.ndarray, sizes: np.ndarray, offsets: np.ndarray, m: int):
+    """The (T, S minus T) pairs of the groups of the goods sets wholes, whose
+    groups hold sizes pairs from offsets on.  T number k of a group spreads the
+    bits of k over S's other goods."""
     whole = np.repeat(wholes, sizes)
     others = np.repeat(wholes & (wholes - 1), sizes)
-    k = (np.arange(whole.size) - np.repeat(starts, sizes)).astype(dtype)
+    k = (np.arange(whole.size) - np.repeat(offsets, sizes)).astype(wholes.dtype)
     sub = whole ^ others
     for j in range(m):
         bit = (others >> j) & 1
         sub |= (k & bit) << j
         k >>= bit
-    return sub, whole ^ sub, starts
+    return sub, whole ^ sub
 
 
 class SubsetDP:
@@ -138,7 +174,9 @@ class SubsetDP:
     F_k[S], the best score of k bundles partitioning S, is the best over T in S
     of g(v(T)) combined with F_(k-1)[S minus T] (see _scores).  Layers 1 .. n-1
     cover every S; the budget caps the (S, T) pairs of all n layers,
-    (n - 2) * 3^m + 2^m, of which _layer_pairs needs half.
+    (n - 2) * 3^m + 2^m, of which _layer_pairs needs half.  Each middle layer
+    is filled one block of S groups at a time, so apart from the 2^m layers no
+    float array outgrows a block of _BLOCK pairs.
     """
 
     def __init__(self, inst: Instance, budget: int = DEFAULT_ENUM_BUDGET):
@@ -162,11 +200,31 @@ class SubsetDP:
         g, combine = _scores(self.table, p)
         layers = [g]  # layers[k - 1][S] = F_k[S]
         for _ in range(self.n - 2):
-            sub, rest, starts = self.pairs
-            cand = g[sub]
-            combine(cand, layers[-1][rest], out=cand)
-            layers.append(np.maximum.reduceat(cand, starts))
+            layers.append(self._layer(g, layers[-1], combine))
         return partial(_rebuild, layers, combine)
+
+    def _layer(self, g: np.ndarray, prev: np.ndarray, combine) -> np.ndarray:
+        """F_k from F_(k-1) = prev: each S group's best g(v(T)) combined with
+        prev[S minus T], one block of groups at a time."""
+        sub, rest, starts, bounds = self.pairs
+        if len(bounds) == 1:
+            cand = g[sub]
+            combine(cand, prev[rest], out=cand)
+            return np.maximum.reduceat(cand, starts)
+        # one block's indices, widened once, and its two gathers, reused by every block
+        width = max(p_hi - p_lo for _, _, p_lo, p_hi in bounds)
+        index, cand, other = np.empty(width, dtype=np.intp), np.empty(width), np.empty(width)
+        layer = np.empty(g.size)
+        for lo, hi, p_lo, p_hi in bounds:
+            idx, c, o = index[: p_hi - p_lo], cand[: p_hi - p_lo], other[: p_hi - p_lo]
+            # every index is below 2^m, so "clip" only skips the bounds check
+            np.copyto(idx, sub[p_lo:p_hi])
+            np.take(g, idx, out=c, mode="clip")
+            np.copyto(idx, rest[p_lo:p_hi])
+            np.take(prev, idx, out=o, mode="clip")
+            combine(c, o, out=c)
+            np.maximum.reduceat(c, starts[lo:hi] - p_lo, out=layer[lo:hi])
+        return layer
 
 
 def _rebuild(layers: list, combine, goods: int, agents: int) -> tuple[int, ...]:
@@ -175,7 +233,9 @@ def _rebuild(layers: list, combine, goods: int, agents: int) -> tuple[int, ...]:
 
     Restricting a valuation keeps the order of its goods, so F_k at a goods set
     is the same float as the restricted instance's and its submasks come in the
-    same order: the result is the restricted instance's own tie-break.
+    same order: the result is the restricted instance's own tie-break.  When
+    the last two bundles split a prefix of the goods, the scan runs in blocks
+    of _BLOCK splits and keeps the first best across them.
     """
     if agents == 1:
         return (goods,)
@@ -193,15 +253,33 @@ def _rebuild(layers: list, combine, goods: int, agents: int) -> tuple[int, ...]:
     # is commutative bit for bit, so the lowest best T lacks left's top good.
     half = left ^ (1 << left.bit_length() >> 1)
     if left & (left + 1) == 0:  # left is goods 0 .. j: the half is 0 .. half, a slice
-        scores = np.empty(half + 1)
-        combine(g[: half + 1], g[left - half : left + 1][::-1], out=scores)
-        pick = int(np.argmax(scores))
+        pick = _first_best_split(g, combine, left, half + 1)
     else:
         subs = _submasks(half)
         scores = g[subs]
         combine(scores, g[left ^ subs], out=scores)
         pick = int(subs[np.argmax(scores)])
     return tuple(bundles) + (pick, left ^ pick)
+
+
+def _first_best_split(g, combine, left: int, count: int) -> int:
+    """The lowest T < count scoring best with left minus T, for left = 2^j - 1,
+    scanned in blocks of _BLOCK: a later block wins only by a strictly higher
+    score, so the first best stands."""
+    if count <= _BLOCK:
+        scores = np.empty(count)
+        combine(g[:count], g[left - count + 1 : left + 1][::-1], out=scores)
+        return int(np.argmax(scores))
+    scores = np.empty(_BLOCK)
+    best, pick = -math.inf, 0
+    for lo in range(0, count, _BLOCK):
+        hi = min(lo + _BLOCK, count)
+        block = scores[: hi - lo]
+        combine(g[lo:hi], g[left - hi + 1 : left - lo + 1][::-1], out=block)
+        i = int(np.argmax(block))
+        if block[i] > best:
+            best, pick = block[i], lo + i
+    return pick
 
 
 def _round_robin(goods: int, agents: int) -> tuple[int, ...]:

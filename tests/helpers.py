@@ -1,9 +1,12 @@
 """Shared test utilities: seeded instance draws and tiny independent oracles."""
 
+import itertools
+
 import numpy as np
 
 from pmean.allocator import CONSTANTS, AlgTrace, alg_low
-from pmean.swmax import EXACT, sw_estimate
+from pmean.means import p_mean
+from pmean.swmax import EXACT, enumerate_labeled_partitions, sw_estimate
 from pmean.valuations import (
     EPS,
     Additive,
@@ -45,6 +48,34 @@ def brute_demand(v, prices):
     return best, best_util
 
 
+def rescan_opts(inst, ps):
+    """Independent p-optima by pure partition enumeration and scalar means."""
+    rows = [
+        [value(inst.valuation, b) for b in bundles]
+        for bundles in enumerate_labeled_partitions(inst.m, inst.n)
+    ]
+    return [max(p_mean(vals, p) for vals in rows) for p in ps]
+
+
+def layer_pairs_reference(m):
+    """The subset DP's middle-layer pairs (T, S minus T) and group starts, by
+    itertools: every S ascending, and within each S every T within S that
+    holds S's lowest good, ascending."""
+    subs, rests, starts = [], [], []
+    for s in range(1 << m):
+        starts.append(len(subs))
+        goods = [j for j in range(m) if s >> j & 1]
+        low, others = mask_of(goods[:1]), goods[1:]
+        ts = sorted(
+            low | mask_of(extra)
+            for r in range(len(others) + 1)
+            for extra in itertools.combinations(others, r)
+        )
+        subs += ts
+        rests += [s ^ t for t in ts]
+    return subs, rests, starts
+
+
 def alg_by_restriction(inst, backend=EXACT):
     """alg with every welfare estimate made on its own sub-instance: phase one
     calls sw_estimate on the valuation restricted to the goods left, and phase
@@ -66,7 +97,8 @@ def alg_by_restriction(inst, backend=EXACT):
         agents -= 1
         next_pick += 1
     leftover = sorted(order[next_pick:])
-    local = alg_low(Instance(agents, restrict(v, leftover)), backend)
+    tail = Instance(agents, restrict(v, leftover))
+    local = alg_low(tail, backend)
     phase2 = [mask_of(leftover[j] for j in goods_of(b)) for b in local]
-    trace = AlgTrace(len(singles), singles, f_values, phase2)
+    trace = AlgTrace(len(singles), singles, f_values, phase2, sw_estimate(tail, backend).guarantee)
     return tuple(1 << g for g in singles) + tuple(phase2), trace

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pmean import cli
+from pmean.swmax import Guarantee
 from pmean.valuations import check_axioms, load_instance, value
 
 
@@ -159,15 +160,55 @@ def test_verify_csv_rows_mirror_json(instance_file, capsys):
 
 
 def test_budget_errors_exit_two(instance_file, capsys):
-    code, _ = run(capsys, "exact", "--instance", instance_file, "--p=1",
-                  "--budget", "10")
+    code = cli.main(["exact", "--instance", instance_file, "--p=1", "--budget", "10"])
     assert code == 2
+    assert "over budget 10" in capsys.readouterr().err
+    for bad in ("-5", "0"):
+        code = cli.main(["exact", "--instance", instance_file, "--p=1", "--budget", bad])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --budget must be a positive integer, got {bad}\n"
 
 
 def test_budget_env_override(instance_file, capsys, monkeypatch):
     monkeypatch.setenv("PMEAN_BUDGET", "10")
     code, _ = run(capsys, "exact", "--instance", instance_file, "--p=1")
     assert code == 2
+    monkeypatch.setenv("PMEAN_BUDGET", "100")
+    code, _ = run(capsys, "exact", "--instance", instance_file, "--p=1")
+    assert code == 0
+    for bad in ("abc", "-5", "0", "1.5", ""):
+        monkeypatch.setenv("PMEAN_BUDGET", bad)
+        code = cli.main(["exact", "--instance", instance_file, "--p=1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: PMEAN_BUDGET must be a positive integer, got {bad!r}\n"
+    # the flag wins over the variable, bad or not
+    code, _ = run(capsys, "exact", "--instance", instance_file, "--p=1", "--budget", "100")
+    assert code == 0
+
+
+@pytest.mark.parametrize("backend, guarantee", [("exact", "exact"), ("greedy", "heuristic")])
+def test_reports_carry_the_estimates_guarantee(instance_file, capsys, monkeypatch, backend,
+                                              guarantee):
+    for command in ("solve", "verify"):
+        code, out = run(capsys, command, "--instance", instance_file, "--p=0,1",
+                        "--sw-backend", backend)
+        assert code == 0
+        assert json.loads(out)["guarantee"] == guarantee
+    # the tag is the one alg's trace recorded, not a second lookup by backend
+    real = cli.alg
+
+    def relabeled(*args, **kwargs):
+        alloc, trace = real(*args, **kwargs)
+        trace.guarantee = Guarantee.HEURISTIC if backend == "exact" else Guarantee.EXACT
+        return alloc, trace
+
+    monkeypatch.setattr(cli, "alg", relabeled)
+    code, out = run(capsys, "solve", "--instance", instance_file, "--p=1", "--sw-backend", backend)
+    assert json.loads(out)["guarantee"] != guarantee
 
 
 def test_check_ineq_report(capsys):

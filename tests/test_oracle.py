@@ -5,24 +5,17 @@ import operator
 import numpy as np
 import pytest
 
+from pmean import swmax
+from pmean.allocator import alg
 from pmean.errors import BudgetExceeded
-from pmean.means import NEG_INF, p_mean, p_mean_welfare
+from pmean.means import NEG_INF, p_mean_welfare
 from pmean.oracle import check_monotonicity, check_structural_lemma, p_opt_brute, p_opt_grid
-from pmean.swmax import enumerate_labeled_partitions, sw_estimate
+from pmean.swmax import sw_estimate
 from pmean.valuations import Additive, BudgetAdditive, ExplicitTable, Instance, Xos, value
 
-from helpers import FAMILIES, random_valuation
+from helpers import FAMILIES, layer_pairs_reference, random_valuation, rescan_opts
 
 P_GRID = [NEG_INF, -4.0, -1.0, 0.0, 0.25, 0.7, 1.0]
-
-
-def rescan_opts(inst, ps):
-    """Independent p-optima by pure partition enumeration and scalar means."""
-    rows = [
-        [value(inst.valuation, b) for b in bundles]
-        for bundles in enumerate_labeled_partitions(inst.m, inst.n)
-    ]
-    return [max(p_mean(vals, p) for vals in rows) for p in ps]
 
 
 def zero_goods_valuation(family, rng, m, zeros=(0, 2)):
@@ -145,6 +138,51 @@ def test_extreme_exponents_match_rescan():
             inst = Instance(n, Additive(tuple(float(x) for x in 10 ** rng.uniform(-6, 3, 6))))
             for p, expected in zip(ps, rescan_opts(inst, ps)):
                 assert p_opt_brute(inst, p).welfare == pytest.approx(expected, rel=1e-12)
+
+
+BLOCK_PS = [NEG_INF, -200.0, -1.0, -1e-9, 0.0, 1e-9, 0.4, 1.0]
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, swmax._BLOCK])
+def test_layer_pairs_match_the_itertools_reference(monkeypatch, block):
+    monkeypatch.setattr(swmax, "_BLOCK", block)
+    for m in range(9):
+        sub, rest, starts, bounds = swmax._layer_pairs(m)
+        assert [sub.tolist(), rest.tolist(), starts.tolist()] == list(layer_pairs_reference(m))
+        # a block starts with each group that holds pair number i * block, and
+        # the blocks tile the groups and their pairs in order
+        edges = starts.tolist() + [sub.size]
+        firsts = sorted(
+            {max(S for S in range(1 << m) if edges[S] <= i) for i in range(0, sub.size, block)}
+        )
+        assert [lo for lo, _, _, _ in bounds] == firsts
+        assert bounds[-1][1] == 1 << m
+        for (lo, hi, p_lo, p_hi), after in zip(bounds, bounds[1:] + [(1 << m,)]):
+            assert lo < hi == after[0]
+            assert (p_lo, p_hi) == (edges[lo], edges[hi])
+            assert p_hi - p_lo < block + edges[lo + 1] - edges[lo]
+
+
+@pytest.mark.parametrize(
+    "n, m", [(2, 0), (3, 1), (5, 3), (2, 4), (5, 4), (4, 5), (3, 6), (2, 7), (2, 8)]
+)
+def test_blocked_engine_matches_one_block_and_rescan(monkeypatch, n, m):
+    # blocks of 1 pair or split cut every middle layer and last-two-bundle
+    # scan of these shapes, blocks of 5 and 64 cut them at other bounds; ties
+    # between integer values and goods worth nothing must still go to the
+    # first best, as in one block
+    rng = np.random.default_rng(1500 + 10 * n + m)
+    valuations = integer_valuations(rng, m)
+    valuations += [random_valuation(family, rng, m) for family in FAMILIES]
+    for v in valuations:
+        inst = Instance(n, v)
+        one_block = repr((p_opt_grid(inst, BLOCK_PS), alg(inst)))
+        for block in (1, 5, 64):
+            monkeypatch.setattr(swmax, "_BLOCK", block)
+            assert repr((p_opt_grid(inst, BLOCK_PS), alg(inst))) == one_block
+            monkeypatch.undo()
+        for opt, expected in zip(p_opt_grid(inst, BLOCK_PS), rescan_opts(inst, BLOCK_PS)):
+            assert opt.welfare == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(5))
