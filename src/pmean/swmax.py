@@ -266,11 +266,7 @@ def _first_best_split(g, combine, left: int, count: int) -> int:
     """The lowest T < count scoring best with left minus T, for left = 2^j - 1,
     scanned in blocks of _BLOCK: a later block wins only by a strictly higher
     score, so the first best stands."""
-    if count <= _BLOCK:
-        scores = np.empty(count)
-        combine(g[:count], g[left - count + 1 : left + 1][::-1], out=scores)
-        return int(np.argmax(scores))
-    scores = np.empty(_BLOCK)
+    scores = np.empty(min(count, _BLOCK))
     best, pick = -math.inf, 0
     for lo in range(0, count, _BLOCK):
         hi = min(lo + _BLOCK, count)
