@@ -3,7 +3,7 @@ approximating the optimal generalized-mean welfare for every exponent p <= 1
 with a single allocation, plus the exact oracles and numeric checks that
 verify the guarantee at desk scale."""
 
-from .allocator import CONSTANTS, AlgConstants, AlgTrace, alg, alg_low, extract_subbundles
+from .allocator import AlgTrace, alg, alg_low, extract_subbundles
 from .errors import (
     BracketInvalid,
     BudgetExceeded,
@@ -50,13 +50,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Additive",
-    "AlgConstants",
     "AlgTrace",
     "AxiomReport",
     "BracketInvalid",
     "BudgetAdditive",
     "BudgetExceeded",
-    "CONSTANTS",
     "DEFAULT_ENUM_BUDGET",
     "EPS",
     "EXACT",

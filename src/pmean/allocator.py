@@ -14,6 +14,10 @@ single p = 1 subset DP over the whole instance, the greedy one deals the goods
 left round-robin, and neither restricts the valuation.  Phase two re-cuts the
 estimate that stopped phase one instead of computing it again.
 
+The paper proves its factor of 40 for the fixed constants 3.53, 11.33, 20 and
+40, not for a family of settings, so they are module constants below and
+nothing takes them as options; analysis and oracle read them from here.
+
 All threshold comparisons accept an absolute slack of EPS on the >= side.
 Every tie is broken by ascending good index (bundle sorts by descending value,
 then ascending original position), so identical inputs give identical outputs.
@@ -27,24 +31,11 @@ from .errors import PreconditionViolated
 from .swmax import DEFAULT_ENUM_BUDGET, EXACT, Guarantee, estimator, sw_estimate
 from .valuations import EPS, Instance, full_set, goods_of, mask_of, value
 
-
-@dataclass(frozen=True)
-class AlgConstants:
-    phase1_divisor: float = 3.53
-    alglow_fraction: float = 1.0 / 3.0
-    approx_factor: float = 40.0
-    high_bundle_factor: float = 11.33
-    extraction_floor_divisor: float = 20.0
-    combined_divisor: float = 7.06
-
-    def __post_init__(self):
-        if self.phase1_divisor * self.high_bundle_factor > self.approx_factor:
-            raise ValueError("phase1_divisor * high_bundle_factor must stay <= approx_factor")
-        if abs(self.combined_divisor - 2.0 * self.phase1_divisor) > 1e-12:
-            raise ValueError("combined_divisor must equal 2 * phase1_divisor")
-
-
-CONSTANTS = AlgConstants()
+PHASE1_DIVISOR = 3.53  # phase one: a good worth f/3.53 alone becomes a singleton
+ALGLOW_FRACTION = 1.0 / 3.0  # phase two: a bundle closes before it reaches f/3
+COMBINED_DIVISOR = 2 * PHASE1_DIVISOR  # 7.06, in the doubling inequality of analysis
+HIGH_BUNDLE_FACTOR = 11.33  # the structural lemma's "very high" bundle, times f
+APPROX_FACTOR = 40.0  # the guarantee: within 1/40 of the optimum at every p
 
 
 @dataclass
@@ -63,7 +54,6 @@ def alg(
     inst: Instance,
     backend: str = EXACT,
     budget: int = DEFAULT_ENUM_BUDGET,
-    constants: AlgConstants = CONSTANTS,
 ) -> tuple[tuple[int, ...], AlgTrace]:
     """Run both phases and return a complete n-bundle allocation plus its trace.
 
@@ -90,7 +80,7 @@ def alg(
             break
         tail = estimate(mask_of(order[next_pick:]), agents_left)
         trace.f_values.append(tail.f_value)
-        if top_value < tail.f_value / constants.phase1_divisor - EPS:
+        if top_value < tail.f_value / PHASE1_DIVISOR - EPS:
             est = tail
             break
         singles.append(g)
@@ -99,7 +89,7 @@ def alg(
 
     leftover = mask_of(order[next_pick:])
     est = est or estimate(leftover, agents_left)
-    phase2 = _recut(v, est.alloc, est.f_value, leftover, constants)
+    phase2 = _recut(v, est.alloc, est.f_value, leftover)
 
     trace.k = len(singles)
     trace.singleton_goods = list(singles)
@@ -112,17 +102,14 @@ def alg_low(
     inst: Instance,
     backend: str = EXACT,
     budget: int = DEFAULT_ENUM_BUDGET,
-    constants: AlgConstants = CONSTANTS,
 ) -> tuple[int, ...]:
     """Allocate an instance in which no single good is worth more than a
     1/3.53 fraction of the welfare estimate: sw_estimate, then the re-cut."""
     est = sw_estimate(inst, backend, budget)
-    return _recut(inst.valuation, est.alloc, est.f_value, full_set(inst.m), constants)
+    return _recut(inst.valuation, est.alloc, est.f_value, full_set(inst.m))
 
 
-def _recut(
-    v, alloc: tuple[int, ...], f: float, goods: int, constants: AlgConstants
-) -> tuple[int, ...]:
+def _recut(v, alloc: tuple[int, ...], f: float, goods: int) -> tuple[int, ...]:
     """Re-cut an estimate's allocation of the goods bitmask, worth f on average.
 
     Sorts its bundles by descending value and moves goods one at a time into
@@ -132,7 +119,7 @@ def _recut(
     badly enough, the source bundles run out early and PreconditionViolated is
     raised.
     """
-    bar = f * constants.alglow_fraction
+    bar = f * ALGLOW_FRACTION
     u = len(alloc)
     if bar <= EPS:
         # worthless instance: any split meets every bound trivially
@@ -170,12 +157,7 @@ def _recut(
     return tuple(bundles)
 
 
-def extract_subbundles(
-    subset: int,
-    v,
-    f: float,
-    constants: AlgConstants = CONSTANTS,
-) -> list[int]:
+def extract_subbundles(subset: int, v, f: float) -> list[int]:
     """Peel a high-value set into sub-bundles each worth at least f/20.
 
     Fills a sub-bundle good by good in ascending index, handing the good back
@@ -186,10 +168,10 @@ def extract_subbundles(
     """
     if not f > 0.0:
         raise PreconditionViolated("need a positive welfare estimate f")
-    bar = f * constants.alglow_fraction
+    bar = f * ALGLOW_FRACTION
     if value(v, subset) < bar - EPS:
         raise PreconditionViolated("subset is worth less than f/3")
-    single_cap = f / constants.phase1_divisor + EPS
+    single_cap = f / PHASE1_DIVISOR + EPS
     for g in goods_of(subset):
         if value(v, 1 << g) > single_cap:
             raise PreconditionViolated(f"good {g} exceeds the low-value cap f/3.53")

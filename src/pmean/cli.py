@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import analysis, hardness
-from .allocator import CONSTANTS, alg
+from .allocator import APPROX_FACTOR, alg
 from .errors import PmeanError
 from .means import bundle_values, p_mean_welfare, parse_exponent
 from .oracle import p_opt_grid
@@ -47,7 +47,7 @@ from .valuations import (
     value_table,
 )
 
-RATIO_FLOOR = 1.0 / CONSTANTS.approx_factor
+RATIO_FLOOR = 1.0 / APPROX_FACTOR
 
 FAMILIES = ("additive", "budget_additive", "xos", "explicit")
 
@@ -76,6 +76,8 @@ def generate_instance(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if m < 0:
+        raise ValueError(f"m must be a nonnegative number of goods, got {m}")
     rng = np.random.default_rng(seed)
     if family == "additive":
         return Instance(n, Additive(_draw_weights(rng, m)))
@@ -255,13 +257,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_ineq(args) -> int:
-    ranges = analysis.check_sign_ranges(neg_step=args.grid_step)
+    if not 0.0 < args.grid_step <= -analysis.NEG_GRID_LO:  # also false for nan
+        raise PmeanError(f"--grid-step must be finite and in (0, 50], got {args.grid_step}")
+    ranges = analysis.check_sign_ranges(args.grid_step)
     upper = analysis.check_upper_range_constants()
     root = analysis.locate_root()
     ok = ranges["ok"] and upper["ok"] and 0.4 < root < 0.41
     report = {
         "command": "check-ineq",
-        "constants": {"a": analysis.CONSTANTS.a, "b": analysis.CONSTANTS.b, "c": analysis.CONSTANTS.c},
+        "constants": {"a": analysis.A, "b": analysis.B, "c": analysis.C},
         "ranges": ranges,
         "upper_range": upper,
         "root": root,

@@ -121,17 +121,17 @@ def verify_no_side(
     return all(opt.welfare <= bound for opt in p_opt_grid(inst, p_grid, budget))
 
 
-def generate_yes_instance(q: int, seed: int = 0, decoys: int | None = None) -> Gap3dmInstance:
-    """Instance with a planted perfect matching plus random decoy edges.
+def generate_yes_instance(q: int, seed: int = 0) -> Gap3dmInstance:
+    """Instance with a planted perfect matching plus q random decoy edges.
 
     The matching pairs block positions through two seeded permutations; decoy
-    edges (default q of them) are sampled uniformly and may overlap anything.
+    edges are sampled uniformly and may overlap anything.
     """
     rng = np.random.default_rng(seed)
     sigma = rng.permutation(q)
     tau = rng.permutation(q)
     edges = [(i, q + int(sigma[i]), 2 * q + int(tau[i])) for i in range(q)]
-    for _ in range(q if decoys is None else decoys):
+    for _ in range(q):
         edges.append(
             (
                 int(rng.integers(q)),
@@ -142,24 +142,19 @@ def generate_yes_instance(q: int, seed: int = 0, decoys: int | None = None) -> G
     return Gap3dmInstance(q, tuple(edges))
 
 
-def generate_no_instance(q: int, seed: int = 0, edges: int | None = None) -> Gap3dmInstance:
-    """Instance whose edges all share the first X vertex, so the best matching
-    has exactly one edge and the matching ratio is 1/q.
+def generate_no_instance(q: int, seed: int = 0) -> Gap3dmInstance:
+    """Instance of q + 1 distinct edges that all share the first X vertex, so
+    the best matching has exactly one edge and the matching ratio is 1/q.
 
     Requires q >= 2: with a single agent any nonempty instance already has a
-    perfect matching.
+    perfect matching.  q + 1 <= q^2 such edges exist, so the draw ends.
     """
     if q < 2:
         raise ValueError("no-side instances need q >= 2")
     rng = np.random.default_rng(seed)
-    count = q + 1 if edges is None else edges
-    out: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
-    while len(out) < count:
+    edges: list[tuple[int, int, int]] = []
+    while len(edges) < q + 1:
         e = (0, q + int(rng.integers(q)), 2 * q + int(rng.integers(q)))
-        if e not in seen:
-            seen.add(e)
-            out.append(e)
-        if len(seen) == q * q:
-            break
-    return Gap3dmInstance(q, tuple(out))
+        if e not in edges:
+            edges.append(e)
+    return Gap3dmInstance(q, tuple(edges))

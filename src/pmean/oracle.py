@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .allocator import CONSTANTS
+from .allocator import APPROX_FACTOR, HIGH_BUNDLE_FACTOR
 from .means import NEG_INF, p_mean_welfare
 from .swmax import DEFAULT_ENUM_BUDGET, SubsetDP
 from .valuations import EPS, Instance, full_set, iter_goods, value
@@ -74,9 +74,9 @@ def check_structural_lemma(
     v = inst.valuation
     for bundle in opt.alloc:
         worth = value(v, bundle)
-        if worth <= CONSTANTS.high_bundle_factor * f_value + EPS:
+        if worth <= HIGH_BUNDLE_FACTOR * f_value + EPS:
             continue
-        floor = worth / CONSTANTS.approx_factor - EPS
+        floor = worth / APPROX_FACTOR - EPS
         if not any(value(v, 1 << g) >= floor for g in iter_goods(bundle)):
             return False
     return True

@@ -7,9 +7,10 @@ sw_estimate is its answer for the whole instance.  The exact backend is the
 subset DP the oracle runs at every exponent, optimal by construction: SubsetDP
 builds the per-instance part once (value table, layer pairs) and at(p) the
 per-exponent layers, from which the best split of any goods set among any
-number of agents is rebuilt, so one p = 1 pass serves every estimate of an alg
-run.  The greedy backend deals the goods round-robin in ascending index, with
-no demand query, no table and no claimed guarantee.
+number of agents is rebuilt, one blocked first-best scan per agent, so one
+p = 1 pass serves every estimate of an alg run.  The greedy backend deals the
+goods round-robin in ascending index, with no demand query, no table and no
+claimed guarantee.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ GREEDY = "greedy"
 BACKENDS = (EXACT, GREEDY)
 
 _CHUNK = 1 << 15
-_BLOCK = 1 << 16  # (S, T) pairs, or last-two-bundle splits, per block of the subset DP
+_BLOCK = 1 << 16  # (S, T) pairs, or rebuild splits, per block of the subset DP
 
 
 class Guarantee(enum.Enum):
@@ -233,45 +234,43 @@ def _rebuild(layers: list, combine, goods: int, agents: int) -> tuple[int, ...]:
 
     Restricting a valuation keeps the order of its goods, so F_k at a goods set
     is the same float as the restricted instance's and its submasks come in the
-    same order: the result is the restricted instance's own tie-break.  When
-    the last two bundles split a prefix of the goods, the scan runs in blocks
-    of _BLOCK splits and keeps the first best across them.
+    same order: the result is the restricted instance's own tie-break.  Each
+    step restricts g and the next layer to the submasks of the goods left, as
+    views when those are goods 0 .. j, and scans them with _first_best.
     """
     if agents == 1:
         return (goods,)
     g = layers[0]
     bundles = []
     left = goods
-    for prev in reversed(layers[1 : agents - 1]):
-        subs = _submasks(left)
-        scores = g[subs]
-        combine(scores, prev[left ^ subs], out=scores)
-        pick = int(subs[np.argmax(scores)])
+    for prev in reversed(layers[: agents - 1]):
+        if left & (left + 1) == 0:  # goods 0 .. j: the submasks are 0 .. left
+            subs, own, rest = None, g[: left + 1], prev[: left + 1]
+        else:
+            subs = _submasks(left)
+            own, rest = g[subs], prev[subs]
+        # Two bundles left (prev is g): T and its complement score the same, as
+        # every combine is commutative bit for bit, so the lowest best T lacks
+        # left's top good and lies in the first half.
+        count = (own.size + 1) // 2 if prev is g else own.size
+        i = _first_best(own, rest, combine, count)
+        pick = i if subs is None else int(subs[i])
         bundles.append(pick)
         left ^= pick
-    # Two bundles left: T and its complement score the same, as every combine
-    # is commutative bit for bit, so the lowest best T lacks left's top good.
-    half = left ^ (1 << left.bit_length() >> 1)
-    if left & (left + 1) == 0:  # left is goods 0 .. j: the half is 0 .. half, a slice
-        pick = _first_best_split(g, combine, left, half + 1)
-    else:
-        subs = _submasks(half)
-        scores = g[subs]
-        combine(scores, g[left ^ subs], out=scores)
-        pick = int(subs[np.argmax(scores)])
-    return tuple(bundles) + (pick, left ^ pick)
+    return (*bundles, left)
 
 
-def _first_best_split(g, combine, left: int, count: int) -> int:
-    """The lowest T < count scoring best with left minus T, for left = 2^j - 1,
-    scanned in blocks of _BLOCK: a later block wins only by a strictly higher
-    score, so the first best stands."""
+def _first_best(own: np.ndarray, rest: np.ndarray, combine, count: int) -> int:
+    """The lowest i < count maximizing own[i] combined with rest[size - 1 - i],
+    the entry of i's complement, scanned in blocks of _BLOCK: a later block
+    wins only by a strictly higher score, so the first best stands."""
+    top = own.size - 1
     scores = np.empty(min(count, _BLOCK))
     best, pick = -math.inf, 0
     for lo in range(0, count, _BLOCK):
         hi = min(lo + _BLOCK, count)
         block = scores[: hi - lo]
-        combine(g[lo:hi], g[left - hi + 1 : left - lo + 1][::-1], out=block)
+        combine(own[lo:hi], rest[top - hi + 1 : top - lo + 1][::-1], out=block)
         i = int(np.argmax(block))
         if block[i] > best:
             best, pick = block[i], lo + i

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from pmean.allocator import CONSTANTS, AlgTrace, alg_low
+from pmean.allocator import PHASE1_DIVISOR, AlgTrace, alg_low
 from pmean.means import p_mean
 from pmean.swmax import EXACT, enumerate_labeled_partitions, sw_estimate
 from pmean.valuations import (
@@ -91,7 +91,7 @@ def alg_by_restriction(inst, backend=EXACT):
             break
         sub = Instance(agents, restrict(v, sorted(order[next_pick:])))
         f_values.append(sw_estimate(sub, backend).f_value)
-        if top_value < f_values[-1] / CONSTANTS.phase1_divisor - EPS:
+        if top_value < f_values[-1] / PHASE1_DIVISOR - EPS:
             break
         singles.append(g)
         agents -= 1

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from pmean.allocator import CONSTANTS, alg, alg_low
+from pmean.allocator import PHASE1_DIVISOR, alg, alg_low
 from pmean.analysis import check_sign_ranges, check_upper_range_constants, f, locate_root
 from pmean.cli import generate_instance
 from pmean.errors import PreconditionViolated
@@ -146,7 +146,7 @@ def test_criterion_2_per_bundle_floors():
     raised = 0
     for inst in _low_value_corpus():
         f_val = sw_estimate(inst).f_value
-        bar = f_val / CONSTANTS.phase1_divisor
+        bar = f_val / PHASE1_DIVISOR
         if any(value(inst.valuation, 1 << g) > bar + EPS for g in range(inst.m)):
             continue
         kept += 1
@@ -177,13 +177,20 @@ def test_criterion_3_inequality_suite():
         "f(0.4) > 0": f(0.4) > 0.0,
         "f(0.41) < 0": f(0.41) < 0.0,
     }
-    ranges = check_sign_ranges(neg_grid_lo=-50.0, neg_step=0.01, pos_step=0.001)
+    ranges = check_sign_ranges()
+    upper = check_upper_range_constants()
+    # the grids are fixed in analysis; pin them through the report
+    checks["grids (-50, 0.01, 0.001, 0.001)"] = (
+        ranges["negative_range"]["lo"],
+        ranges["negative_range"]["step"],
+        ranges["positive_range"]["step"],
+        upper["grid"]["step"],
+    ) == (-50.0, 0.01, 0.001, 0.001)
     checks["f <= 1e-12 on [-50, 0) step 0.01"] = ranges["negative_range"]["ok"]
     checks["f >= -1e-12 on (0, 0.4] step 0.001"] = ranges["positive_range"]["ok"]
     root = locate_root()
     checks["root in (0.4, 0.41)"] = 0.4 < root < 0.41
     checks["|f(root)| < 1e-12"] = abs(f(root)) < 1e-12
-    upper = check_upper_range_constants(step=0.001)
     checks["2*7.06^p <= 40^p on [0.4, 1]"] = upper["doubling_ok"]
     checks["40^p > 2 on [0.4, 1]"] = upper["above_two_ok"]
     elapsed = time.time() - start
@@ -266,6 +273,28 @@ def test_criterion_4b_minimum_proxy_tolerance():
     assert _report("4b minimum-proxy-tolerance", ok, detail)
 
 
+def _dominant_good_draws(seeds=range(5)):
+    """Seeded n = 6, m = 7 instances in every family: one good drawn in
+    [50, 150] at a drawn position, the other six in [0, 0.1], so a p-optimal
+    bundle can be worth more than 11.33 times half the average optimum."""
+    for family in FAMILIES:
+        for seed in seeds:
+            rng = np.random.default_rng(5500 + seed)
+            weights = [round(float(x), 6) for x in rng.uniform(0.0, 0.1, 7)]
+            big = round(float(rng.uniform(50.0, 150.0)), 6)
+            weights[int(rng.integers(7))] = big
+            weights = tuple(weights)
+            if family == "additive":
+                yield Instance(6, Additive(weights))
+            elif family == "budget_additive":
+                yield Instance(6, BudgetAdditive(weights, round(1.5 * big, 6)))
+            else:
+                tiny = tuple(round(float(x), 6) for x in rng.uniform(0.0, 0.1, 7))
+                xos = Xos((weights, tiny))
+                table = ExplicitTable(tuple(value(xos, s) for s in range(1 << 7)))
+                yield Instance(6, xos if family == "xos" else table)
+
+
 def test_criterion_5_structural_suite():
     random_checked = vacuous = 0
     bad = []
@@ -300,8 +329,10 @@ def test_criterion_5_structural_suite():
             ),
         ),
     ]
-    nonvacuous = 0
-    for idx, inst in enumerate(adversarial):
+    nonvacuous = {"adversarial": 0, "drawn": 0}
+    cases = [("adversarial", idx, inst) for idx, inst in enumerate(adversarial)]
+    cases += [("drawn", idx, inst) for idx, inst in enumerate(_dominant_good_draws())]
+    for kind, idx, inst in cases:
         half_opt1 = p_opt_brute(inst, 1.0).welfare / 2
         for p in (NEG_INF, -1.0, 0.0, 0.25):
             opt = p_opt_brute(inst, p)
@@ -309,13 +340,16 @@ def test_criterion_5_structural_suite():
                 b for b in opt.alloc if value(inst.valuation, b) > 11.33 * half_opt1
             ]
             if premise:
-                nonvacuous += 1
+                nonvacuous[kind] += 1
             if not check_structural_lemma(inst, p, half_opt1):
-                bad.append(("adversarial", idx, p))
-    ok = not bad and nonvacuous > 0
+                bad.append((kind, idx, p))
+    drawn = len(cases) - len(adversarial)
+    ok = not bad and nonvacuous["adversarial"] > 0 and nonvacuous["drawn"] > 0
     detail = (
         f"{random_checked} random checks ({vacuous} premise-vacuous), "
-        f"5 dominant-good instances with {nonvacuous} non-vacuous cells"
+        f"5 dominant-good instances with {nonvacuous['adversarial']} non-vacuous cells, "
+        f"{drawn} drawn dominant-good instances with {nonvacuous['drawn']} of "
+        f"{4 * drawn} cells non-vacuous"
     )
     assert _report("5 structural", ok, detail), bad[:5]
 

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from pmean import allocator, swmax, valuations
-from pmean.allocator import CONSTANTS, AlgConstants, alg, alg_low, extract_subbundles
+from pmean.allocator import (
+    APPROX_FACTOR,
+    COMBINED_DIVISOR,
+    HIGH_BUNDLE_FACTOR,
+    PHASE1_DIVISOR,
+    alg,
+    alg_low,
+    extract_subbundles,
+)
 from pmean.cli import generate_instance
 from pmean.errors import PreconditionViolated
 from pmean.means import p_mean
@@ -43,16 +51,14 @@ def assert_complete(bundles, n, m):
 
 def hypothesis_holds(inst, f):
     return all(
-        value(inst.valuation, 1 << g) <= f / CONSTANTS.phase1_divisor + EPS
+        value(inst.valuation, 1 << g) <= f / PHASE1_DIVISOR + EPS
         for g in range(inst.m)
     )
 
 
 def test_constants_are_consistent():
-    assert CONSTANTS.phase1_divisor * CONSTANTS.high_bundle_factor <= CONSTANTS.approx_factor
-    assert CONSTANTS.combined_divisor == 2 * CONSTANTS.phase1_divisor
-    with pytest.raises(ValueError):
-        AlgConstants(phase1_divisor=4.0)  # 4 * 11.33 > 40
+    assert PHASE1_DIVISOR * HIGH_BUNDLE_FACTOR <= APPROX_FACTOR
+    assert COMBINED_DIVISOR == 7.06 == 2 * PHASE1_DIVISOR
 
 
 def test_single_agent_gets_all_goods():
@@ -95,7 +101,7 @@ def test_phase_one_threshold_replays_from_trace(family, seed):
     assert trace.k <= n
     assert len(set(trace.singleton_goods)) == trace.k
     for t, g in enumerate(trace.singleton_goods):
-        bar = trace.f_values[t] / CONSTANTS.phase1_divisor
+        bar = trace.f_values[t] / PHASE1_DIVISOR
         assert value(inst.valuation, 1 << g) >= bar - EPS
     again, trace_again = alg(inst)
     assert again == alloc
@@ -312,7 +318,7 @@ def test_end_to_end_floor_on_awkward_shapes():
 def test_extract_count_and_floor_on_random_sets(seed):
     rng = np.random.default_rng(900 + seed)
     f = 100.0
-    cap = f / CONSTANTS.phase1_divisor
+    cap = f / PHASE1_DIVISOR
     weights = tuple(round(float(x), 6) for x in rng.uniform(0.2 * cap, cap, 10))
     v = Additive(weights)
     total = value(v, full_set(10))

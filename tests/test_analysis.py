@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from pmean.analysis import (
-    CONSTANTS,
+    A,
+    B,
+    C,
     check_sign_ranges,
     check_upper_range_constants,
     f,
@@ -11,9 +13,9 @@ from pmean.analysis import (
 
 
 def test_constants_ordering():
-    assert 0 < CONSTANTS.c < CONSTANTS.a < CONSTANTS.b < 1
-    assert CONSTANTS.a == 0.5 - 1.0 / 40.0
-    assert CONSTANTS.c == 2.0 / 11.33
+    assert 0 < C < A < B < 1
+    assert A == 0.5 - 1.0 / 40.0
+    assert C == 2.0 / 11.33
 
 
 def test_f_vanishes_at_zero():

@@ -50,6 +50,13 @@ def test_gen_explicit_size_cap(tmp_path, capsys):
     code, _ = run(capsys, "gen", "--family", "explicit", "--n", "2", "--m", "17",
                   "--seed", "0", "--out", str(tmp_path / "x.json"))
     assert code == 2
+    # a negative size is named at the boundary, not left to numpy
+    for family in cli.FAMILIES:
+        code = cli.main(["gen", "--family", family, "--n", "2", "--m", "-1",
+                         "--out", str(tmp_path / "x.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: m must be a nonnegative number of goods, got -1\n"
 
 
 @pytest.fixture
@@ -218,6 +225,15 @@ def test_check_ineq_report(capsys):
     assert report["ok"]
     assert 0.4 < report["root"] < 0.41
     assert report["worst_violation"] == 0.0
+
+
+@pytest.mark.parametrize("step", ["nan", "100", "inf", "0", "-0.01"])
+def test_check_ineq_rejects_a_bad_grid_step(capsys, step):
+    code = cli.main(["check-ineq", "--grid-step", step])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --grid-step must be finite and in (0, 50], got {float(step)}\n"
 
 
 def test_hardness_demo_yes(tmp_path, capsys):
