@@ -3,7 +3,7 @@ approximating the optimal generalized-mean welfare for every exponent p <= 1
 with a single allocation, plus the exact oracles and numeric checks that
 verify the guarantee at desk scale."""
 
-from .allocator import AlgTrace, alg, alg_low, extract_subbundles
+from .allocator import AlgTrace, alg, alg_low
 from .errors import (
     BracketInvalid,
     BudgetExceeded,
@@ -78,7 +78,6 @@ __all__ = [
     "check_structural_lemma",
     "demand",
     "enumerate_labeled_partitions",
-    "extract_subbundles",
     "load_instance",
     "p_mean",
     "p_mean_welfare",

@@ -10,7 +10,7 @@ positive root r in (0.4, 0.41), and the upper exponent range [0.4, 1] is
 covered by the doubling inequalities 2 * 7.06^p <= 40^p and 40^p > 2.  These
 facts are proved analytically; this module checks them on dense grids whose
 steps are fixed below, except the negative grid's step, which check-ineq's
---grid-step sets.
+--grid-step sets down to NEG_STEP_MIN.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ C = 2.0 / HIGH_BUNDLE_FACTOR
 
 SIGN_TOL = 1e-12
 NEG_GRID_LO = -50.0  # the negative grid covers [-50, 0)
+NEG_STEP_MIN = 1e-4  # its finest step: 500,000 points
 POS_STEP = 0.001  # the grid on (0, 0.4]
 UPPER_STEP = 0.001  # the grid on [0.4, 1]
 PAIR_SAMPLES = 64  # (x, y) pairs spot-checking (x + y)^p <= x^p + y^p, seed 0
@@ -33,13 +34,20 @@ ROOT_TOL = 1e-14
 ROOT_MAX_ITER = 200
 
 
-def f(p: float) -> float:
-    """a^p + b^p - 1 - c^p in double precision."""
+def f(p: float | np.ndarray) -> float | np.ndarray:
+    """a^p + b^p - 1 - c^p in double precision, elementwise on an array."""
     return A**p + B**p - 1.0 - C**p
 
 
-def _f_grid(grid: np.ndarray) -> np.ndarray:
-    return A**grid + B**grid - 1.0 - C**grid
+def neg_step_fault(step: float) -> str | None:
+    """Why step cannot be the negative grid's step, or None if it can: it must
+    be finite and in [NEG_STEP_MIN, 50]."""
+    if not 0.0 < step <= -NEG_GRID_LO:  # nan fails this test too
+        return f"must be finite and in (0, {-NEG_GRID_LO:g}], got {step}"
+    if step < NEG_STEP_MIN:
+        points = round(-NEG_GRID_LO / NEG_STEP_MIN)
+        return f"must be at least {NEG_STEP_MIN:g} ({points:,} points), got {step}"
+    return None
 
 
 def check_sign_ranges(neg_step: float = 0.01) -> dict:
@@ -49,14 +57,15 @@ def check_sign_ranges(neg_step: float = 0.01) -> dict:
     Violations beyond SIGN_TOL are collected rather than raised; the report
     carries the extreme values observed on each grid.
     """
-    if not 0.0 < neg_step <= -NEG_GRID_LO:  # also false for nan
-        raise ValueError(f"neg_step must be finite and in (0, {-NEG_GRID_LO:g}], got {neg_step}")
+    fault = neg_step_fault(neg_step)
+    if fault:
+        raise ValueError(f"neg_step {fault}")
     neg = NEG_GRID_LO + neg_step * np.arange(int(round(-NEG_GRID_LO / neg_step)))
     neg = neg[neg < 0.0]
     pos = POS_STEP * np.arange(1, int(round(0.4 / POS_STEP)) + 1)
 
-    f_neg = _f_grid(neg)
-    f_pos = _f_grid(pos)
+    f_neg = f(neg)
+    f_pos = f(pos)
     neg_ok = bool(np.all(f_neg <= SIGN_TOL))
     pos_ok = bool(np.all(f_pos >= -SIGN_TOL))
     worst = max(float(np.max(f_neg, initial=0.0)), float(np.max(-f_pos, initial=0.0)), 0.0)

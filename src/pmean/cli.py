@@ -35,6 +35,7 @@ from .swmax import BACKENDS, DEFAULT_ENUM_BUDGET, EXACT
 from .valuations import (
     AXIOM_SCAN_MAX_GOODS,
     EPS,
+    EXPLICIT_MAX_GOODS,
     Additive,
     BudgetAdditive,
     ExplicitTable,
@@ -89,8 +90,8 @@ def generate_instance(
     clause_rows = tuple(_draw_weights(rng, m) for _ in range(clauses))
     if family == "xos":
         return Instance(n, Xos(clause_rows))
-    if m > 16:
-        raise PmeanError("explicit tables support at most 16 goods")
+    if m > EXPLICIT_MAX_GOODS:
+        raise PmeanError(f"explicit tables support at most {EXPLICIT_MAX_GOODS} goods")
     return Instance(n, ExplicitTable(tuple(value_table(Xos(clause_rows)).tolist())))
 
 
@@ -257,8 +258,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_ineq(args) -> int:
-    if not 0.0 < args.grid_step <= -analysis.NEG_GRID_LO:  # also false for nan
-        raise PmeanError(f"--grid-step must be finite and in (0, 50], got {args.grid_step}")
+    fault = analysis.neg_step_fault(args.grid_step)
+    if fault:
+        raise PmeanError(f"--grid-step {fault}")
     ranges = analysis.check_sign_ranges(args.grid_step)
     upper = analysis.check_upper_range_constants()
     root = analysis.locate_root()
@@ -383,10 +385,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PmeanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (PmeanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,10 +13,16 @@ to 7.18% at n = 5..8, so a 5% tolerance can hold only up to length 4.  4b
 checks the bound at every length up to 8, the 5% tolerance at lengths up to 4,
 and that the worst deviation seen at lengths 5..8 comes within 1e-3 of the
 bound.
+
+Criterion 1's grid (m <= 8) never runs phase two inside alg: phase one always
+leaves one agent.  Criterion 8 runs a grid at m = 10, 12 where alg_low splits
+among two or more agents, plus the worst instance of that grid, checked in
+under tests/corpus.
 """
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +38,7 @@ from pmean.hardness import (
     reduce,
 )
 from pmean.means import NEG_INF, p_mean, p_mean_welfare
-from pmean.oracle import check_structural_lemma, p_opt_brute
+from pmean.oracle import check_structural_lemma, p_opt_brute, p_opt_grid
 from pmean.swmax import enumerate_labeled_partitions, sw_estimate
 from pmean.valuations import (
     EPS,
@@ -43,6 +49,7 @@ from pmean.valuations import (
     Xos,
     demand,
     iter_goods,
+    load_instance,
     value,
 )
 
@@ -407,3 +414,62 @@ def test_criterion_7_oracle_cross_checks():
     assert _report(
         "7 oracle-cross-checks", ok, f"{checked} instances, partition counts 8/16/81"
     ), bad[:5]
+
+
+def _phase_two_ratios(inst):
+    """alg's allocation and trace, and its ratio to the exact optimum at every
+    P_GRID exponent (None where the optimum is 0)."""
+    alloc, trace = alg(inst)
+    opts = p_opt_grid(inst, [p for _, p in P_GRID])
+    ratios = [
+        p_mean_welfare(inst, alloc, p) / opt.welfare if opt.welfare > 0.0 else None
+        for (_, p), opt in zip(P_GRID, opts)
+    ]
+    return trace, ratios
+
+
+def test_criterion_8_phase_two_grid():
+    start = time.time()
+    worst = math.inf
+    worst_cell = None
+    cells = vacuous = splits = 0
+    failures = []
+    for family in FAMILIES:
+        for n in (2, 3):
+            for m in (10, 12):
+                for seed in range(8):
+                    trace, ratios = _phase_two_ratios(generate_instance(family, n, m, seed))
+                    splits += n - trace.k >= 2
+                    for (token, _), ratio in zip(P_GRID, ratios):
+                        cells += 1
+                        if ratio is None:
+                            vacuous += 1
+                            continue
+                        if ratio < worst:
+                            worst, worst_cell = ratio, (family, n, m, seed, token)
+                        if ratio < RATIO_FLOOR - 1e-9:
+                            failures.append((family, n, m, seed, token, ratio))
+    elapsed = time.time() - start
+    # 48 of the 128 instances split today; the floor keeps that coverage from
+    # silently disappearing
+    ok = not failures and splits >= 40
+    detail = (
+        f"{cells} cells, {vacuous} vacuous, alg_low split among >= 2 agents on {splits} "
+        f"of 128 instances, worst ratio {worst:.4f} at {worst_cell}, "
+        f"floor {RATIO_FLOOR:.4f}, {elapsed:.1f}s"
+    )
+    assert _report("8 phase-two grid", ok, detail), failures[:5]
+
+
+def test_criterion_8_worst_phase_two_instance():
+    # the grid's worst cell: budget-additive (2, 12), seed 7, ratio 0.0707 at
+    # p = -inf, with phase one taking no singleton and phase two splitting
+    inst = load_instance(Path(__file__).parent / "corpus" / "phase_two_worst.json")
+    assert inst == generate_instance("budget_additive", 2, 12, 7)
+    trace, ratios = _phase_two_ratios(inst)
+    assert trace.k == 0 and len(trace.f_values) == 1  # stopped below the bar
+    assert all(ratio >= RATIO_FLOOR - 1e-9 for ratio in ratios)
+    floor = trace.f_values[-1] * (1 / 3 - 1 / PHASE1_DIVISOR) - EPS
+    closed = trace.phase2_bundles[:-1]
+    assert closed and all(value(inst.valuation, b) >= floor for b in closed)
+    assert _report("8 worst phase-two instance", True, f"ratio {min(ratios):.4f}")

@@ -11,7 +11,6 @@ from pmean.allocator import (
     PHASE1_DIVISOR,
     alg,
     alg_low,
-    extract_subbundles,
 )
 from pmean.cli import generate_instance
 from pmean.errors import PreconditionViolated
@@ -247,41 +246,6 @@ def test_alg_low_source_exhaustion_raises(monkeypatch):
         alg_low(Instance(3, Additive((0.0, 0.0))))
 
 
-def test_extract_singletons_from_uniform_set():
-    # six goods worth f/5 each: the peel stops each sub-bundle at one good
-    f = 5.0
-    v = Additive((1.0,) * 6)
-    parts = extract_subbundles(0b111111, v, f)
-    assert parts == [0b000001, 0b000010, 0b000100, 0b001000, 0b010000]
-    assert len(parts) >= math.ceil(3 * value(v, 0b111111) / f - 1)
-    for part in parts:
-        assert value(v, part) >= f / 20 - 1e-9
-
-
-def test_extract_boundary_value_yields_no_parts():
-    f = 3.0
-    v = Additive((0.5, 0.5))  # set worth exactly f/3
-    assert extract_subbundles(0b11, v, f) == []
-
-
-def test_extract_two_heavy_goods():
-    f = 3.53
-    v = Additive((1.0, 1.0))  # each good exactly f/3.53, set worth ~0.5665 f
-    parts = extract_subbundles(0b11, v, f)
-    assert len(parts) == 1
-    assert value(v, parts[0]) >= f / 20 - 1e-9
-
-
-def test_extract_preconditions():
-    v = Additive((1.0, 1.0))
-    with pytest.raises(PreconditionViolated):
-        extract_subbundles(0b11, v, 0.0)
-    with pytest.raises(PreconditionViolated):
-        extract_subbundles(0b11, v, 100.0)  # set worth far less than f/3
-    with pytest.raises(PreconditionViolated):
-        extract_subbundles(0b11, Additive((10.0, 0.1)), 6.0)  # good above f/3.53
-
-
 def test_end_to_end_floor_on_awkward_shapes():
     # zeros, dominant goods and binding caps, beyond the acceptance families
     from pmean.means import p_mean_welfare
@@ -312,20 +276,3 @@ def test_end_to_end_floor_on_awkward_shapes():
             opt = p_opt_brute(inst, p).welfare
             if opt > 0.0:
                 assert p_mean_welfare(inst, alloc, p) / opt >= 1 / 40 - 1e-9
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_extract_count_and_floor_on_random_sets(seed):
-    rng = np.random.default_rng(900 + seed)
-    f = 100.0
-    cap = f / PHASE1_DIVISOR
-    weights = tuple(round(float(x), 6) for x in rng.uniform(0.2 * cap, cap, 10))
-    v = Additive(weights)
-    total = value(v, full_set(10))
-    parts = extract_subbundles(full_set(10), v, f)
-    assert len(parts) >= math.ceil(3 * total / f - 1)
-    used = 0
-    for part in parts:
-        assert part & used == 0
-        used |= part
-        assert value(v, part) >= f / 20 - 1e-9

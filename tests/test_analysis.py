@@ -5,6 +5,7 @@ from pmean.analysis import (
     A,
     B,
     C,
+    NEG_STEP_MIN,
     check_sign_ranges,
     check_upper_range_constants,
     f,
@@ -39,6 +40,12 @@ def test_sign_ranges_default_grids():
     assert report["negative_range"]["ok"] and report["negative_range"]["points"] == 5000
     assert report["positive_range"]["ok"] and report["positive_range"]["points"] == 400
     assert report["worst_violation"] == 0.0
+
+
+def test_sign_ranges_bound_the_negative_step():
+    assert check_sign_ranges(NEG_STEP_MIN)["negative_range"]["points"] == 500_000
+    with pytest.raises(ValueError, match=r"neg_step must be at least 0.0001 \(500,000 points\)"):
+        check_sign_ranges(1e-9)
 
 
 def test_root_in_bracket_and_tiny_residual():

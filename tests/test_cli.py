@@ -106,6 +106,20 @@ def test_verify_single_agent_ratio_is_one(tmp_path, capsys):
         assert row["ratio"] == pytest.approx(1.0)
 
 
+def test_verify_reports_vacuous_rows_and_passes(tmp_path, capsys):
+    # three agents, two goods: some agent gets nothing, so the optimum is 0
+    # at p <= 0 and those rows are vacuous, not failures
+    path = tmp_path / "short.json"
+    run(capsys, "gen", "--family", "additive", "--n", "3", "--m", "2", "--out", str(path))
+    code, out = run(capsys, "verify", "--instance", str(path), "--p=-inf,0,0.5,1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["all_pass"]
+    assert [row["status"] for row in report["table"]] == ["vacuous", "vacuous", "pass", "pass"]
+    for row in report["table"][:2]:
+        assert row["opt_welfare"] == 0.0 and row["ratio"] is None
+
+
 def test_verify_reports_violations_with_exit_one(instance_file, capsys, monkeypatch):
     # the exit contract, driven by a sham oracle that inflates the optimum
     from pmean.oracle import OptResult
@@ -143,9 +157,10 @@ def test_greedy_solve_deals_wide_budget_additive_instances(tmp_path, capsys):
         (2, {"type": "xos", "clauses": [[1.0, float("-inf")]]}, "clause weights"),
         (2, {"type": "explicit", "table": [0.0, 1.0, float("inf"), 2.0]}, "table values"),
         (2, {"type": "explicit", "table": [0, 1, 1, 10]}, "table"),
+        (2, {"type": "explicit", "table": [0, 2, 1, 1]}, "table"),
     ],
     ids=["nan-weight", "infinite-cap", "fractional-n", "infinite-clause", "infinite-table",
-         "superadditive-table"],
+         "superadditive-table", "non-monotone-table"],
 )
 def test_verify_rejects_a_bad_field_with_exit_two(tmp_path, capsys, n, valuation, field):
     path = tmp_path / "bad.json"
@@ -227,13 +242,15 @@ def test_check_ineq_report(capsys):
     assert report["worst_violation"] == 0.0
 
 
-@pytest.mark.parametrize("step", ["nan", "100", "inf", "0", "-0.01"])
+@pytest.mark.parametrize("step", ["nan", "100", "inf", "0", "-0.01", "1e-9"])
 def test_check_ineq_rejects_a_bad_grid_step(capsys, step):
+    # 1e-9 would ask for a grid of 5 * 10^10 points, about 400 GB
     code = cli.main(["check-ineq", "--grid-step", step])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: --grid-step must be finite and in (0, 50], got {float(step)}\n"
+    rule = "at least 0.0001 (500,000 points)" if step == "1e-9" else "finite and in (0, 50]"
+    assert captured.err == f"error: --grid-step must be {rule}, got {float(step)}\n"
 
 
 def test_hardness_demo_yes(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from pmean.errors import SizeLimitExceeded
 from pmean.valuations import (
     Additive,
+    AxiomReport,
     BudgetAdditive,
     ExplicitTable,
     Instance,
@@ -97,6 +98,11 @@ def test_check_axioms_flags_constructed_violation():
     report = check_axioms(ExplicitTable((0, 1, 1, 3)))  # v({0,1}) = 3 > 1 + 1
     assert report.normalized and report.monotone
     assert not report.subadditive
+
+
+def test_check_axioms_flags_a_non_monotone_table():
+    report = check_axioms(ExplicitTable((0, 2, 1, 1)))  # v({0,1}) = 1 < v({0}) = 2
+    assert report == AxiomReport(True, False, True)
 
 
 def test_check_axioms_scans_all_pairs():
