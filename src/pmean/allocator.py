@@ -4,9 +4,9 @@ Phase one (alg) walks the goods in non-increasing singleton value and hands a
 good to its own agent whenever that good alone is worth at least a 1/3.53
 fraction of the current sub-instance's social-welfare estimate; each such
 assignment removes the good and one agent.  Phase two (alg_low) takes over once
-no good clears the bar: it asks the welfare subroutine for a near-optimal
-allocation, then re-cuts its high-value bundles good by good so every remaining
-agent ends up with at least a 1/20 fraction of the estimate.
+no good clears the bar: it takes the welfare subroutine's allocation and
+re-cuts its high-value bundles good by good so every remaining agent ends up
+with at least a 1/20 fraction of the estimate.
 
 Both phases work on goods bitmasks.  Phase one keeps the mask of the goods not
 yet handed out, and every estimate comes from one swmax.estimator on such masks
@@ -20,7 +20,8 @@ it there, so by subadditivity it is worth at least f * (1/3 - 1/3.53) >= f/20.
 
 The paper proves its factor of 40 for the fixed constants 3.53, 11.33, 20 and
 40, not for a family of settings, so they are module constants below and
-nothing takes them as options; analysis and oracle read them from here.
+nothing takes them as options; analysis, oracle and cli read them from here,
+with SPLIT_EXPONENT, the 0.4 at which the analysis changes arguments.
 
 All threshold comparisons accept an absolute slack of EPS on the >= side.
 Every tie is broken by ascending good index (bundle sorts by descending value,
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PreconditionViolated
-from .swmax import DEFAULT_ENUM_BUDGET, EXACT, Guarantee, estimator, sw_estimate
+from .swmax import DEFAULT_ENUM_BUDGET, EXACT, Guarantee, SwEstimate, estimator
 from .valuations import EPS, Instance, full_set, value
 
 PHASE1_DIVISOR = 3.53  # phase one: a good worth f/3.53 alone becomes a singleton
@@ -40,6 +41,7 @@ ALGLOW_FRACTION = 1.0 / 3.0  # phase two: a bundle closes before it reaches f/3
 COMBINED_DIVISOR = 2 * PHASE1_DIVISOR  # 7.06, in the doubling inequality of analysis
 HIGH_BUNDLE_FACTOR = 11.33  # the structural lemma's "very high" bundle, times f
 APPROX_FACTOR = 40.0  # the guarantee: within 1/40 of the optimum at every p
+SPLIT_EXPONENT = 0.4  # the structural lemma covers p below it, the doubling inequalities the rest
 
 
 @dataclass
@@ -65,7 +67,7 @@ def alg(
     agent then receives everything still unassigned, which can only help every
     welfare objective) and when the best remaining good is worthless (an
     all-zero tail makes any allocation optimal).  When it stops below the bar,
-    phase two re-cuts the estimate that stopped it instead of asking again.
+    alg_low re-cuts the estimate that stopped it instead of asking again.
     """
     v = inst.valuation
     single = [value(v, 1 << j) for j in range(inst.m)]
@@ -89,7 +91,7 @@ def alg(
         agents -= 1
 
     est = stop or estimate(left, agents)
-    phase2 = _recut(v, est.alloc, est.f_value, left)
+    phase2 = alg_low(v, est, left)
 
     trace.k = len(trace.singleton_goods)
     trace.phase2_bundles = list(phase2)
@@ -97,19 +99,9 @@ def alg(
     return tuple(1 << g for g in trace.singleton_goods) + phase2, trace
 
 
-def alg_low(
-    inst: Instance,
-    backend: str = EXACT,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> tuple[int, ...]:
-    """Allocate an instance in which no single good is worth more than a
-    1/3.53 fraction of the welfare estimate: sw_estimate, then the re-cut."""
-    est = sw_estimate(inst, backend, budget)
-    return _recut(inst.valuation, est.alloc, est.f_value, full_set(inst.m))
-
-
-def _recut(v, alloc: tuple[int, ...], f: float, goods: int) -> tuple[int, ...]:
-    """Re-cut an estimate's allocation of the goods bitmask, worth f on average.
+def alg_low(v, est: SwEstimate, goods: int) -> tuple[int, ...]:
+    """Phase two: re-cut the estimate's allocation of the goods bitmask, worth
+    est.f_value on average, into len(est.alloc) bundles.
 
     Sorts its bundles by descending value and moves each one's lowest good at a
     time into the open output bundle, closing it as soon as the next good would
@@ -117,15 +109,16 @@ def _recut(v, alloc: tuple[int, ...], f: float, goods: int) -> tuple[int, ...]:
     is worth less than that third, and whatever no closed bundle took lands in
     the last bundle.  The low-value hypothesis is not checked up front: if it
     fails badly enough, the sources run out early and PreconditionViolated is
-    raised.
+    raised.  A whole instance is re-cut with
+    alg_low(inst.valuation, sw_estimate(inst, backend), full_set(inst.m)).
     """
-    bar = f * ALGLOW_FRACTION
-    u = len(alloc)
+    bar = est.f_value * ALGLOW_FRACTION
+    u = len(est.alloc)
     if bar <= EPS:
         # worthless instance: any split meets every bound trivially
         return (0,) * (u - 1) + (goods,)
 
-    sources = sorted(alloc, key=lambda s: -value(v, s))
+    sources = sorted(est.alloc, key=lambda s: -value(v, s))
     closed: list[int] = []
     assigned = bundle = 0
     i = 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .allocator import APPROX_FACTOR, COMBINED_DIVISOR, HIGH_BUNDLE_FACTOR
+from .allocator import APPROX_FACTOR, COMBINED_DIVISOR, HIGH_BUNDLE_FACTOR, SPLIT_EXPONENT
 from .errors import BracketInvalid
 
 A = 0.5 - 1.0 / APPROX_FACTOR
@@ -29,6 +29,7 @@ NEG_GRID_LO = -50.0  # the negative grid covers [-50, 0)
 NEG_STEP_MIN = 1e-4  # its finest step: 500,000 points
 POS_STEP = 0.001  # the grid on (0, 0.4]
 UPPER_STEP = 0.001  # the grid on [0.4, 1]
+ROOT_BRACKET_HI = 0.41  # f's positive root lies in (0.4, 0.41)
 PAIR_SAMPLES = 64  # (x, y) pairs spot-checking (x + y)^p <= x^p + y^p, seed 0
 ROOT_TOL = 1e-14
 ROOT_MAX_ITER = 200
@@ -62,7 +63,7 @@ def check_sign_ranges(neg_step: float = 0.01) -> dict:
         raise ValueError(f"neg_step {fault}")
     neg = NEG_GRID_LO + neg_step * np.arange(int(round(-NEG_GRID_LO / neg_step)))
     neg = neg[neg < 0.0]
-    pos = POS_STEP * np.arange(1, int(round(0.4 / POS_STEP)) + 1)
+    pos = POS_STEP * np.arange(1, int(round(SPLIT_EXPONENT / POS_STEP)) + 1)
 
     f_neg = f(neg)
     f_pos = f(pos)
@@ -78,7 +79,7 @@ def check_sign_ranges(neg_step: float = 0.01) -> dict:
             "max_f": float(np.max(f_neg)),
         },
         "positive_range": {
-            "hi": 0.4,
+            "hi": SPLIT_EXPONENT,
             "step": POS_STEP,
             "points": int(pos.size),
             "ok": pos_ok,
@@ -94,11 +95,11 @@ def locate_root() -> float:
 
     Deterministic: pure float bisection, so the result is bit-for-bit stable.
     """
-    lo, hi = 0.4, 0.41
+    lo, hi = SPLIT_EXPONENT, ROOT_BRACKET_HI
     if not f(lo) > 0.0:
-        raise BracketInvalid("f(0.4) must be positive")
+        raise BracketInvalid(f"f({lo}) must be positive")
     if not f(hi) < 0.0:
-        raise BracketInvalid("f(0.41) must be negative")
+        raise BracketInvalid(f"f({hi}) must be negative")
     for _ in range(ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -115,7 +116,8 @@ def check_upper_range_constants() -> dict:
     """Grid-check the exponent range [0.4, 1] at UPPER_STEP: 2 * 7.06^p <= 40^p
     and 40^p > 2, plus spot checks of (x + y)^p <= x^p + y^p on PAIR_SAMPLES
     seeded nonnegative pairs."""
-    grid = 0.4 + UPPER_STEP * np.arange(int(round(0.6 / UPPER_STEP)) + 1)
+    steps = int(round((1.0 - SPLIT_EXPONENT) / UPPER_STEP))
+    grid = SPLIT_EXPONENT + UPPER_STEP * np.arange(steps + 1)
 
     doubling_ok = bool(np.all(2.0 * COMBINED_DIVISOR**grid <= APPROX_FACTOR**grid))
     above_two_ok = bool(np.all(APPROX_FACTOR**grid > 2.0))
@@ -127,7 +129,7 @@ def check_upper_range_constants() -> dict:
 
     margin = float(np.min(APPROX_FACTOR**grid - 2.0 * COMBINED_DIVISOR**grid))
     return {
-        "grid": {"lo": 0.4, "hi": 1.0, "step": UPPER_STEP, "points": int(grid.size)},
+        "grid": {"lo": SPLIT_EXPONENT, "hi": 1.0, "step": UPPER_STEP, "points": int(grid.size)},
         "doubling_ok": doubling_ok,
         "above_two_ok": above_two_ok,
         "power_subadditive_ok": power_ok,

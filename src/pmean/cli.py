@@ -2,9 +2,9 @@
 inequality checks and hardness demos as reproducible file-driven runs.
 
 Exit codes: 0 success / all checks passed, 1 a ratio check failed, 2 usage,
-size or budget errors.  The exact engine's budget defaults to 10^7 subset-DP
-cells, (n - 2) * 3^m + 2^m for n bundles of m goods, and can be overridden per
-run with --budget or globally with the PMEAN_BUDGET environment variable.
+size or budget errors, and malformed or unreadable instance files.  The exact
+engine's budget defaults to 10^7 subset-DP cells, (n - 2) * 3^m + 2^m for n
+bundles of m goods, and --budget overrides it per run.
 `exact`, `verify` and `hardness-demo` build the DP's value table and layer
 pairs once per instance and share them across all requested exponents.
 
@@ -20,14 +20,13 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 
 import numpy as np
 
 from . import analysis, hardness
-from .allocator import APPROX_FACTOR, alg
+from .allocator import APPROX_FACTOR, SPLIT_EXPONENT, alg
 from .errors import PmeanError
 from .means import bundle_values, p_mean_welfare, parse_exponent
 from .oracle import p_opt_grid
@@ -103,21 +102,13 @@ def _parse_p_list(text: str) -> list[tuple[str, float]]:
 
 
 def _resolve_budget(flag: int | None) -> int:
-    """The exact engine's cell budget: --budget, else PMEAN_BUDGET, else the
-    default; whichever is given must be a positive integer."""
-    if flag is not None:
-        source, raw = "--budget", flag
-    elif "PMEAN_BUDGET" in os.environ:
-        source, raw = "PMEAN_BUDGET", os.environ["PMEAN_BUDGET"]
-    else:
+    """The exact engine's cell budget: --budget if given, which must be a
+    positive integer, else the default."""
+    if flag is None:
         return DEFAULT_ENUM_BUDGET
-    try:
-        budget = int(raw)
-        if budget >= 1:
-            return budget
-    except ValueError:
-        pass
-    raise PmeanError(f"{source} must be a positive integer, got {raw!r}")
+    if flag < 1:
+        raise PmeanError(f"--budget must be a positive integer, got {flag!r}")
+    return flag
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -264,7 +255,7 @@ def _cmd_check_ineq(args) -> int:
     ranges = analysis.check_sign_ranges(args.grid_step)
     upper = analysis.check_upper_range_constants()
     root = analysis.locate_root()
-    ok = ranges["ok"] and upper["ok"] and 0.4 < root < 0.41
+    ok = ranges["ok"] and upper["ok"] and SPLIT_EXPONENT < root < analysis.ROOT_BRACKET_HI
     report = {
         "command": "check-ineq",
         "constants": {"a": analysis.A, "b": analysis.B, "c": analysis.C},
@@ -299,7 +290,7 @@ def _cmd_hardness_demo(args) -> int:
         expected_perfect = len(matching) == gadget.q
         ok &= expected_perfect
         for (token, _), opt in zip(ps, opts):
-            row_ok = abs(opt - 3.0) <= 1e-9
+            row_ok = abs(opt - 3.0) <= EPS
             ok &= row_ok
             table.append({"p": token, "opt_welfare": opt, "ok": row_ok})
         summary = {"perfect_matching": expected_perfect}

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import NotPerfect, SizeLimitExceeded
 from .oracle import p_opt_grid
-from .swmax import DEFAULT_ENUM_BUDGET
 from .valuations import EPS, Instance, Xos, full_set
 
 MATCHING_MAX_EDGES = 20
@@ -103,12 +102,7 @@ def max_matching_brute(g: Gap3dmInstance) -> tuple[int, ...]:
     return best
 
 
-def verify_no_side(
-    g: Gap3dmInstance,
-    alpha: float,
-    p_grid: Sequence[float],
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> bool:
+def verify_no_side(g: Gap3dmInstance, alpha: float, p_grid: Sequence[float]) -> bool:
     """If the best matching has at most alpha*q edges, confirm by brute force
     that no grid exponent admits welfare above 2 + alpha.  Vacuously true when
     the matching premise fails."""
@@ -118,7 +112,7 @@ def verify_no_side(
         return True
     inst = reduce(g)
     bound = 2.0 + alpha + EPS
-    return all(opt.welfare <= bound for opt in p_opt_grid(inst, p_grid, budget))
+    return all(opt.welfare <= bound for opt in p_opt_grid(inst, p_grid))
 
 
 def generate_yes_instance(q: int, seed: int = 0) -> Gap3dmInstance:

@@ -5,7 +5,7 @@ subroutine, with its work capped by an explicit budget rather than sampled;
 the tests check it against a pure-Python scan of every labeled partition.
 p_opt_brute answers one exponent; p_opt_grid answers many from one set-up,
 building the value table and the layer pairs once and only the layers per
-exponent.
+exponent; only p_opt_grid takes a budget, the rest run at the default.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .allocator import APPROX_FACTOR, HIGH_BUNDLE_FACTOR
+from .allocator import APPROX_FACTOR, HIGH_BUNDLE_FACTOR, SPLIT_EXPONENT
 from .means import NEG_INF, p_mean_welfare
 from .swmax import DEFAULT_ENUM_BUDGET, SubsetDP
 from .valuations import EPS, Instance, full_set, iter_goods, value
@@ -26,11 +26,9 @@ class OptResult:
     welfare: float
 
 
-def p_opt_brute(
-    inst: Instance, p: float, budget: int = DEFAULT_ENUM_BUDGET
-) -> OptResult:
-    """Exact p-optimal allocation and its p-mean welfare."""
-    return p_opt_grid(inst, [p], budget)[0]
+def p_opt_brute(inst: Instance, p: float) -> OptResult:
+    """Exact p-optimal allocation and its p-mean welfare, at the default budget."""
+    return p_opt_grid(inst, [p])[0]
 
 
 def p_opt_grid(
@@ -49,17 +47,13 @@ def p_opt_grid(
     return results
 
 
-def check_monotonicity(
-    inst: Instance, p_grid: Sequence[float], budget: int = DEFAULT_ENUM_BUDGET
-) -> bool:
+def check_monotonicity(inst: Instance, p_grid: Sequence[float]) -> bool:
     """True iff the optimal average welfare dominates every grid p's optimum."""
-    opt1, *opts = p_opt_grid(inst, [1.0, *p_grid], budget)
+    opt1, *opts = p_opt_grid(inst, [1.0, *p_grid])
     return all(opt.welfare <= opt1.welfare + EPS for opt in opts)
 
 
-def check_structural_lemma(
-    inst: Instance, p: float, f_value: float, budget: int = DEFAULT_ENUM_BUDGET
-) -> bool:
+def check_structural_lemma(inst: Instance, p: float, f_value: float) -> bool:
     """Verify that every very high value bundle of a p-optimal allocation owes
     its value to some single good.
 
@@ -68,9 +62,9 @@ def check_structural_lemma(
     Bundles below the premise threshold are ignored (vacuous).  Only exponents
     below 0.4 (including 0 and -inf) are meaningful here.
     """
-    if not (p == NEG_INF or p < 0.4):
-        raise ValueError(f"structural check applies to p < 0.4, got {p}")
-    opt = p_opt_brute(inst, p, budget)
+    if not (p == NEG_INF or p < SPLIT_EXPONENT):
+        raise ValueError(f"structural check applies to p < {SPLIT_EXPONENT}, got {p}")
+    opt = p_opt_brute(inst, p)
     v = inst.valuation
     for bundle in opt.alloc:
         worth = value(v, bundle)

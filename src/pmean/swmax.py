@@ -1,9 +1,10 @@
 """Social-welfare subroutine: allocations with known average-welfare quality.
 
 Both solver phases consult this module for an allocation whose average social
-welfare (the f_value) they can trust.  estimator(inst, backend) answers for
-any goods bitmask and any number of agents up to n, on global bitmasks, and
-sw_estimate is its answer for the whole instance.  The exact backend is the
+welfare (the f_value) they can trust.  estimator(inst, backend, budget) answers
+for any goods bitmask and any number of agents up to n, on global bitmasks, and
+sw_estimate is its answer for the whole instance at the default budget (only
+SubsetDP and estimator take the one --budget sets).  The exact backend is the
 subset DP the oracle runs at every exponent, optimal by construction: SubsetDP
 builds the per-instance part once (value table, layer pairs) and at(p) the
 per-exponent layers, from which the best split of any goods set among any
@@ -49,19 +50,17 @@ class SwEstimate:
     guarantee: Guarantee
 
 
-def enumerate_labeled_partitions(
-    m: int, n: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[tuple[int, ...]]:
+def enumerate_labeled_partitions(m: int, n: int) -> Iterator[tuple[int, ...]]:
     """Yield every assignment of m goods to n labeled bundles exactly once.
 
     Good 0 is the most significant position: the first agent of good 0 varies
-    slowest across the stream.  Single-consumer generator; the budget caps n^m.
+    slowest across the stream.  Single-consumer generator; the default budget caps n^m.
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     states = n**m
-    if states > budget:
-        raise BudgetExceeded(f"{n}^{m} = {states} labeled partitions exceed budget {budget}")
+    if states > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(f"{n}^{m} = {states} labeled partitions exceed budget {DEFAULT_ENUM_BUDGET}")
     for start in range(0, states, _CHUNK):
         masks = _chunk_bundle_masks(m, n, start, min(start + _CHUNK, states))
         yield from map(tuple, masks.T.tolist())
@@ -309,10 +308,8 @@ def estimator(
     return estimate
 
 
-def sw_estimate(
-    inst: Instance, backend: str = EXACT, budget: int = DEFAULT_ENUM_BUDGET
-) -> SwEstimate:
+def sw_estimate(inst: Instance, backend: str = EXACT) -> SwEstimate:
     """Allocation of the whole instance plus its average social welfare, per the
-    selected backend (see estimator).  The greedy deal's quality is measured
-    against the exact backend in tests, never assumed."""
-    return estimator(inst, backend, budget)(full_set(inst.m), inst.n)
+    selected backend (see estimator) at the default budget.  The greedy deal's
+    quality is measured against the exact backend in tests, never assumed."""
+    return estimator(inst, backend)(full_set(inst.m), inst.n)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence, Union
@@ -24,7 +25,7 @@ from .errors import SizeLimitExceeded
 EPS = 1e-9
 
 AXIOM_SCAN_MAX_GOODS = 12
-BUDGET_ADDITIVE_DEMAND_MAX_GOODS = 24
+TABLE_MAX_GOODS = 24
 EXPLICIT_MAX_GOODS = 16
 BITMASK_MAX_GOODS = 63
 
@@ -194,7 +195,7 @@ def _subset_sums(vec: Sequence[float]) -> np.ndarray:
 
 def value_table(v: Valuation) -> np.ndarray:
     """Dense table of v over all 2^m subsets (requires small m)."""
-    if v.m > BUDGET_ADDITIVE_DEMAND_MAX_GOODS:
+    if v.m > TABLE_MAX_GOODS:
         raise SizeLimitExceeded(f"cannot tabulate {v.m} goods")
     if isinstance(v, Additive):
         return _subset_sums(v.weights)
@@ -236,11 +237,6 @@ def demand(v: Valuation, prices: Sequence[float]) -> tuple[int, float]:
         # equals value(best_subset) - prices(best_subset)
         return best_subset, best_util
 
-    if isinstance(v, BudgetAdditive) and v.m > BUDGET_ADDITIVE_DEMAND_MAX_GOODS:
-        raise SizeLimitExceeded(
-            f"budget-additive demand enumerates subsets; m <= "
-            f"{BUDGET_ADDITIVE_DEMAND_MAX_GOODS} required"
-        )
     utilities = value_table(v) - _subset_sums(prices)
     # highest mask among ties: monotone valuations then demand the full set at zero prices
     flipped = int(np.argmax(utilities[::-1]))
@@ -329,16 +325,36 @@ def valuation_to_dict(v: Valuation) -> dict:
     return {"type": "explicit", "table": list(v.table)}
 
 
+_NUMBER = {int, float}  # the types JSON numbers load as; bool is not one
+_LAYOUTS = {
+    "an integer": lambda x: type(x) is int,
+    "a number": lambda x: type(x) in _NUMBER,
+    "an object": lambda x: isinstance(x, dict),
+    "a list of numbers": lambda x: isinstance(x, list) and set(map(type, x)) <= _NUMBER,
+    "a list of lists of numbers": lambda x: isinstance(x, list)
+    and all(isinstance(row, list) and set(map(type, row)) <= _NUMBER for row in x),
+}
+
+
+def _field(data: dict, key: str, layout: str):
+    """data[key] if it has the named layout, else a ValueError naming the field."""
+    if key in data and _LAYOUTS[layout](data[key]):
+        return data[key]
+    got = reprlib.repr(data[key]) if key in data else "nothing"
+    raise ValueError(f"{key} must be {layout}, got {got}")
+
+
 def valuation_from_dict(data: dict) -> Valuation:
     kind = data.get("type")
     if kind == "additive":
-        return Additive(tuple(data["weights"]))
+        return Additive(tuple(_field(data, "weights", "a list of numbers")))
     if kind == "budget_additive":
-        return BudgetAdditive(tuple(data["weights"]), data["cap"])
+        weights = _field(data, "weights", "a list of numbers")
+        return BudgetAdditive(tuple(weights), _field(data, "cap", "a number"))
     if kind == "xos":
-        return Xos(tuple(tuple(c) for c in data["clauses"]))
+        return Xos(tuple(map(tuple, _field(data, "clauses", "a list of lists of numbers"))))
     if kind == "explicit":
-        return ExplicitTable(tuple(data["table"]))
+        return ExplicitTable(tuple(_field(data, "table", "a list of numbers")))
     raise ValueError(f"unknown valuation type: {kind!r}")
 
 
@@ -347,10 +363,11 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    n = data["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    return Instance(n, valuation_from_dict(data["valuation"]))
+    """The instance a JSON document describes; a ValueError names a bad field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"instance must be an object, got {reprlib.repr(data)}")
+    n = _field(data, "n", "an integer")
+    return Instance(n, valuation_from_dict(_field(data, "valuation", "an object")))
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:
@@ -358,4 +375,8 @@ def save_instance(inst: Instance, path: str | Path) -> None:
 
 
 def load_instance(path: str | Path) -> Instance:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read instance file {path}: {exc.strerror}") from None
+    return instance_from_dict(json.loads(text))

@@ -14,6 +14,7 @@ from pmean.valuations import (
     ExplicitTable,
     Instance,
     Xos,
+    full_set,
     goods_of,
     iter_goods,
     mask_of,
@@ -79,7 +80,7 @@ def layer_pairs_reference(m):
 def alg_by_restriction(inst, backend=EXACT):
     """alg with every welfare estimate made on its own sub-instance: phase one
     calls sw_estimate on the valuation restricted to the goods left, and phase
-    two runs alg_low on the restricted tail, which estimates it once more."""
+    two runs alg_low on a fresh estimate of the restricted tail."""
     v = inst.valuation
     order = sorted(range(inst.m), key=lambda j: (-value(v, 1 << j), j))
     singles, f_values = [], []
@@ -98,7 +99,8 @@ def alg_by_restriction(inst, backend=EXACT):
         next_pick += 1
     leftover = sorted(order[next_pick:])
     tail = Instance(agents, restrict(v, leftover))
-    local = alg_low(tail, backend)
+    est = sw_estimate(tail, backend)
+    local = alg_low(tail.valuation, est, full_set(tail.m))
     phase2 = [mask_of(leftover[j] for j in goods_of(b)) for b in local]
-    trace = AlgTrace(len(singles), singles, f_values, phase2, sw_estimate(tail, backend).guarantee)
+    trace = AlgTrace(len(singles), singles, f_values, phase2, est.guarantee)
     return tuple(1 << g for g in singles) + tuple(phase2), trace

@@ -48,6 +48,7 @@ from pmean.valuations import (
     Instance,
     Xos,
     demand,
+    full_set,
     iter_goods,
     load_instance,
     value,
@@ -152,13 +153,14 @@ def test_criterion_2_per_bundle_floors():
     failures = []
     raised = 0
     for inst in _low_value_corpus():
-        f_val = sw_estimate(inst).f_value
+        est = sw_estimate(inst)
+        f_val = est.f_value
         bar = f_val / PHASE1_DIVISOR
         if any(value(inst.valuation, 1 << g) > bar + EPS for g in range(inst.m)):
             continue
         kept += 1
         try:
-            bundles = alg_low(inst)
+            bundles = alg_low(inst.valuation, est, full_set(inst.m))
         except PreconditionViolated:
             raised += 1
             continue

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,14 @@ from pmean.allocator import (
 from pmean.cli import generate_instance
 from pmean.errors import PreconditionViolated
 from pmean.means import p_mean
-from pmean.swmax import EXACT, GREEDY, enumerate_labeled_partitions, sw_estimate
+from pmean.swmax import (
+    EXACT,
+    GREEDY,
+    Guarantee,
+    SwEstimate,
+    enumerate_labeled_partitions,
+    sw_estimate,
+)
 from pmean.valuations import (
     EPS,
     Additive,
@@ -24,6 +32,7 @@ from pmean.valuations import (
     Instance,
     Xos,
     full_set,
+    load_instance,
     mask_of,
     value,
 )
@@ -173,9 +182,14 @@ def test_greedy_backend_makes_no_demand_restrict_or_table_query(monkeypatch, fam
             assert_complete(alloc, n, m)
 
 
+def alg_low_whole(inst):
+    """Phase two on the whole instance, with its exact estimate."""
+    return alg_low(inst.valuation, sw_estimate(inst), full_set(inst.m))
+
+
 def test_alg_low_single_bundle():
     inst = Instance(1, Additive((3, 4)))
-    assert alg_low(inst) == (0b11,)
+    assert alg_low_whole(inst) == (0b11,)
 
 
 def test_alg_low_equal_goods_meet_floor():
@@ -184,7 +198,7 @@ def test_alg_low_equal_goods_meet_floor():
     f = sw_estimate(inst).f_value
     assert f == pytest.approx(5.0)
     assert hypothesis_holds(inst, f)
-    bundles = alg_low(inst)
+    bundles = alg_low_whole(inst)
     assert_complete(bundles, 2, 10)
     for b in bundles:
         assert value(inst.valuation, b) >= f / 20 - 1e-9
@@ -208,7 +222,7 @@ def test_alg_low_bundle_floors_on_low_value_instances(family, seed):
     inst = Instance(2, val)
     f = sw_estimate(inst).f_value
     assert hypothesis_holds(inst, f)
-    bundles = alg_low(inst)
+    bundles = alg_low_whole(inst)
     assert_complete(bundles, 2, 8)
     opt1 = rescan_opt1(inst)
     for b in bundles:
@@ -226,24 +240,37 @@ def test_alg_low_three_agents_need_twelve_goods(seed):
     inst = Instance(3, val)
     f = sw_estimate(inst).f_value
     assert hypothesis_holds(inst, f)
-    bundles = alg_low(inst)
+    bundles = alg_low_whole(inst)
     assert_complete(bundles, 3, 12)
     for b in bundles:
         assert value(val, b) >= f / 20 - 1e-9
 
 
-def test_alg_low_source_exhaustion_raises(monkeypatch):
+def test_alg_low_source_exhaustion_raises():
     # drive the fill loop directly into the defensive error: a sham estimate
     # whose bundles are all empty cannot serve anyone
-    from pmean import allocator as mod
-
-    class FakeEstimate:
-        f_value = 1.0
-        alloc = (0, 0, 0)
-
-    monkeypatch.setattr(mod, "sw_estimate", lambda *a, **k: FakeEstimate())
+    sham = SwEstimate((0, 0, 0), 1.0, Guarantee.EXACT)
     with pytest.raises(PreconditionViolated):
-        alg_low(Instance(3, Additive((0.0, 0.0))))
+        alg_low(Additive((0.0, 0.0)), sham, 0b11)
+
+
+def test_tracer_spans_phase_two_inside_alg(monkeypatch):
+    # perfbench's tracer patches allocator.alg_low by name; its span is what
+    # allocator.alg_low_ms reads, so alg must reach phase two through that name
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracer
+
+    inst = load_instance(Path(__file__).parent / "corpus" / "phase_two_worst.json")
+    original = allocator.alg_low
+    t = tracer.Tracer()
+    t.install()
+    try:
+        _, trace = allocator.alg(inst)
+    finally:
+        t.uninstall()
+    assert allocator.alg_low is original
+    assert sum(1 for b in trace.phase2_bundles if b) >= 2  # phase two splits
+    assert t.layer_metrics()["allocator.alg_low_ms"] > 0
 
 
 def test_end_to_end_floor_on_awkward_shapes():

@@ -149,27 +149,46 @@ def test_greedy_solve_deals_wide_budget_additive_instances(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "n, valuation, field",
+    "document, error",
     [
-        (2, {"type": "additive", "weights": [float("nan"), 1.0, 2.0]}, "weights"),
-        (2, {"type": "budget_additive", "weights": [1.0, 2.0], "cap": float("inf")}, "cap"),
-        (2.7, {"type": "additive", "weights": [1.0, 2.0, 3.0]}, "n"),
-        (2, {"type": "xos", "clauses": [[1.0, float("-inf")]]}, "clause weights"),
-        (2, {"type": "explicit", "table": [0.0, 1.0, float("inf"), 2.0]}, "table values"),
-        (2, {"type": "explicit", "table": [0, 1, 1, 10]}, "table"),
-        (2, {"type": "explicit", "table": [0, 2, 1, 1]}, "table"),
+        ({"n": 2, "valuation": {"type": "additive", "weights": [float("nan"), 1.0, 2.0]}},
+         "weights must be"),
+        ({"n": 2, "valuation": {"type": "budget_additive", "weights": [1.0, 2.0],
+                                "cap": float("inf")}}, "cap must be"),
+        ({"n": 2.7, "valuation": {"type": "additive", "weights": [1.0, 2.0, 3.0]}}, "n must be"),
+        ({"n": 2, "valuation": {"type": "xos", "clauses": [[1.0, float("-inf")]]}},
+         "clause weights must be"),
+        ({"n": 2, "valuation": {"type": "explicit", "table": [0.0, 1.0, float("inf"), 2.0]}},
+         "table values must be"),
+        ({"n": 2, "valuation": {"type": "explicit", "table": [0, 1, 1, 10]}}, "table must be"),
+        ({"n": 2, "valuation": {"type": "explicit", "table": [0, 2, 1, 1]}}, "table must be"),
+        ({"n": 2}, "valuation must be an object, got nothing"),
+        ({"n": 2, "valuation": {"type": "additive"}},
+         "weights must be a list of numbers, got nothing"),
+        ([1, 2], "instance must be an object, got [1, 2]"),
+        ({"n": 2, "valuation": {"type": "additive", "weights": 5}},
+         "weights must be a list of numbers, got 5"),
+        ({"n": 2, "valuation": [1]}, "valuation must be an object, got [1]"),
+        ({"n": 2, "valuation": {"type": "xos", "clauses": [1, 2]}},
+         "clauses must be a list of lists of numbers, got [1, 2]"),
+        (None, "cannot read instance file "),
     ],
     ids=["nan-weight", "infinite-cap", "fractional-n", "infinite-clause", "infinite-table",
-         "superadditive-table", "non-monotone-table"],
+         "superadditive-table", "non-monotone-table", "no-valuation", "no-weights",
+         "top-level-list", "scalar-weights", "list-valuation", "scalar-clauses", "missing-file"],
 )
-def test_verify_rejects_a_bad_field_with_exit_two(tmp_path, capsys, n, valuation, field):
+def test_verify_rejects_a_bad_field_with_exit_two(tmp_path, capsys, document, error):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"n": n, "valuation": valuation}))  # NaN / Infinity tokens
+    if document is not None:  # None leaves the file missing
+        path.write_text(json.dumps(document))  # NaN / Infinity tokens
     code = cli.main(["verify", "--instance", str(path), "--p=-inf,0,1"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {field} must be")
+    assert captured.err.startswith(f"error: {error}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    if document is None:
+        assert str(path) in captured.err
 
 
 def test_verify_csv_rows_mirror_json(instance_file, capsys):
@@ -191,25 +210,6 @@ def test_budget_errors_exit_two(instance_file, capsys):
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: --budget must be a positive integer, got {bad}\n"
-
-
-def test_budget_env_override(instance_file, capsys, monkeypatch):
-    monkeypatch.setenv("PMEAN_BUDGET", "10")
-    code, _ = run(capsys, "exact", "--instance", instance_file, "--p=1")
-    assert code == 2
-    monkeypatch.setenv("PMEAN_BUDGET", "100")
-    code, _ = run(capsys, "exact", "--instance", instance_file, "--p=1")
-    assert code == 0
-    for bad in ("abc", "-5", "0", "1.5", ""):
-        monkeypatch.setenv("PMEAN_BUDGET", bad)
-        code = cli.main(["exact", "--instance", instance_file, "--p=1"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == f"error: PMEAN_BUDGET must be a positive integer, got {bad!r}\n"
-    # the flag wins over the variable, bad or not
-    code, _ = run(capsys, "exact", "--instance", instance_file, "--p=1", "--budget", "100")
-    assert code == 0
 
 
 @pytest.mark.parametrize("backend, guarantee", [("exact", "exact"), ("greedy", "heuristic")])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pmean.errors import BudgetExceeded
-from pmean.oracle import p_opt_brute
+from pmean.oracle import p_opt_grid
 from pmean.swmax import (
     EXACT,
     GREEDY,
@@ -38,16 +38,17 @@ def test_partitions_are_partitions():
 
 
 def test_budget_guard():
+    # the default budget, 10^7, caps 3^15 labeled partitions and 3^15 + 2^15 DP cells
     with pytest.raises(BudgetExceeded):
-        list(enumerate_labeled_partitions(10, 3, budget=100))
+        list(enumerate_labeled_partitions(15, 3))
     with pytest.raises(BudgetExceeded):
-        sw_estimate(Instance(3, Additive((1.0,) * 10)), EXACT, budget=100)
+        sw_estimate(Instance(3, Additive((1.0,) * 15)), EXACT)
     # the budget counts DP cells: (n - 2) * 3^m + 2^m
     inst = Instance(4, Additive((1.0,) * 5))
     cells = 2 * 3**5 + 2**5
-    assert len(p_opt_brute(inst, 1.0, budget=cells).alloc) == 4
+    assert len(p_opt_grid(inst, [1.0], cells)[0].alloc) == 4
     with pytest.raises(BudgetExceeded):
-        p_opt_brute(inst, 1.0, budget=cells - 1)
+        p_opt_grid(inst, [1.0], cells - 1)
 
 
 def test_single_agent_gets_everything():
