@@ -2,7 +2,8 @@
 inequality checks and hardness demos as reproducible file-driven runs.
 
 Exit codes: 0 success / all checks passed, 1 a ratio check failed, 2 usage,
-size or budget errors, and malformed or unreadable instance files.  The exact
+size or budget errors, malformed, unreadable or unparsable instance files, and
+explicit tables of up to 12 goods that fail an axiom.  The exact
 engine's budget defaults to 10^7 subset-DP cells, (n - 2) * 3^m + 2^m for n
 bundles of m goods, and --budget overrides it per run.
 `exact`, `verify` and `hardness-demo` build the DP's value table and layer
@@ -141,13 +142,9 @@ def _load_model_instance(path: str) -> Instance:
     inst = load_instance(path)
     v = inst.valuation
     if isinstance(v, ExplicitTable) and v.m <= AXIOM_SCAN_MAX_GOODS:
-        report = check_axioms(v)
-        axioms = ("normalized", "monotone", "subadditive")
-        fails = [name for name in axioms if not getattr(report, name)]
-        if fails:
-            raise PmeanError(
-                f"table must be normalized, monotone and subadditive (fails: {', '.join(fails)})"
-            )
+        fault = check_axioms(v).fault
+        if fault:
+            raise PmeanError(fault)
     return inst
 
 

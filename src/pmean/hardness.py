@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotPerfect, SizeLimitExceeded
 from .oracle import p_opt_grid
-from .valuations import EPS, Instance, Xos, full_set
+from .valuations import EPS, Instance, Xos, mask_of
 
 MATCHING_MAX_EDGES = 20
 
@@ -44,25 +44,15 @@ class Gap3dmInstance:
 
 
 def _edges_disjoint(edges: Sequence[tuple[int, int, int]]) -> bool:
-    seen: set[int] = set()
-    for e in edges:
-        for vtx in e:
-            if vtx in seen:
-                return False
-            seen.add(vtx)
-    return True
+    vertices = [vtx for e in edges for vtx in e]
+    return len(set(vertices)) == len(vertices)
 
 
 def reduce(g: Gap3dmInstance) -> Instance:
     """Welfare instance with q agents, 3q goods, and max-over-edges valuation."""
-    m = 3 * g.q
-    clauses = []
-    for edge in g.hyperedges:
-        clause = [0.0] * m
-        for vtx in edge:
-            clause[vtx] = 1.0
-        clauses.append(tuple(clause))
-    return Instance(g.q, Xos(tuple(clauses)))
+    goods = range(3 * g.q)
+    clauses = tuple(tuple(float(j in edge) for j in goods) for edge in g.hyperedges)
+    return Instance(g.q, Xos(clauses))
 
 
 def matching_to_allocation(
@@ -76,17 +66,7 @@ def matching_to_allocation(
     edges = [g.hyperedges[i] for i in matched]
     if not _edges_disjoint(edges):
         raise NotPerfect("matched edges share a vertex")
-    bundles = []
-    for edge in edges:
-        mask = 0
-        for vtx in edge:
-            mask |= 1 << vtx
-        bundles.append(mask)
-    leftover = full_set(3 * g.q)
-    for b in bundles:
-        leftover &= ~b
-    bundles[-1] |= leftover  # empty when the matching is perfect
-    return tuple(bundles)
+    return tuple(mask_of(edge) for edge in edges)  # q disjoint edges cover all 3q goods
 
 
 def max_matching_brute(g: Gap3dmInstance) -> tuple[int, ...]:
@@ -94,12 +74,11 @@ def max_matching_brute(g: Gap3dmInstance) -> tuple[int, ...]:
     t = len(g.hyperedges)
     if t > MATCHING_MAX_EDGES:
         raise SizeLimitExceeded(f"matching search enumerates 2^T subsets; T <= {MATCHING_MAX_EDGES}")
-    best: tuple[int, ...] = ()
+    # one edge always matches (its vertices lie in three blocks), so size 1 returns
     for size in range(min(t, g.q), 0, -1):
         for combo in combinations(range(t), size):
             if _edges_disjoint([g.hyperedges[i] for i in combo]):
                 return combo
-    return best
 
 
 def verify_no_side(g: Gap3dmInstance, alpha: float, p_grid: Sequence[float]) -> bool:

@@ -1,4 +1,5 @@
-"""Shared valuation function over indivisible goods: families, value and demand queries.
+"""Shared valuation function over indivisible goods: families, value and demand
+queries, the axiom check on the subset DP's splits, and instance files.
 
 Subsets of goods are bitmasks over indices 0..m-1 (bit j set <=> good j in the
 subset).  Exact, enumerating backends require m <= 63 and declare tighter caps
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Sequence, Union
 
@@ -249,40 +250,61 @@ class AxiomReport:
     normalized: bool
     monotone: bool
     subadditive: bool
+    witness: str = field(default="", compare=False)  # the first failing set, in words
 
     @property
     def all_ok(self) -> bool:
         return self.normalized and self.monotone and self.subadditive
 
+    @property
+    def fault(self) -> str:
+        """'' if every axiom holds, else an error naming the failing ones and the witness."""
+        held = {"normalized": self.normalized, "monotone": self.monotone,
+                "subadditive": self.subadditive}
+        fails = ", ".join(name for name, ok in held.items() if not ok)
+        return fails and (
+            f"table must be normalized, monotone and subadditive (fails: {fails}): {self.witness}"
+        )
+
+
+def _worth(table: np.ndarray, *subsets) -> str:
+    """'v({0}) + v({1}) = 2': a sum of table entries, term by term, and its value."""
+    terms = " + ".join("v({" + ", ".join(map(str, iter_goods(int(s)))) + "})" for s in subsets)
+    return f"{terms} = {float(sum(table[s] for s in subsets))!r}".removesuffix(".0")
+
 
 def check_axioms(v: Valuation) -> AxiomReport:
-    """Exhaustively verify normalization, monotonicity and subadditivity.
-
-    Monotonicity is checked over single-good extensions (equivalent to the full
-    subset order) and subadditivity over all 4^m subset pairs, so m <= 12.
-    """
+    """Exhaustively verify normalization, monotonicity and subadditivity on the
+    subset DP's splits (T, S minus T) of every S, T holding S's lowest good:
+    every proper subset of S is a T or an S minus T, so the splits decide
+    monotonicity, and for a monotone table subadditivity.  The witness is the
+    first failing set of the first failing axiom.  m <= 12."""
     if v.m > AXIOM_SCAN_MAX_GOODS:
         raise SizeLimitExceeded(
             f"axiom scan enumerates subset pairs; m <= {AXIOM_SCAN_MAX_GOODS} required"
         )
+    from .swmax import _layer_pairs  # swmax imports this module when it loads
+
     table = value_table(v)
-    normalized = table[0] == 0.0
-
-    masks = np.arange(1 << v.m)
-    monotone = True
-    for j in range(v.m):
-        without = masks[(masks >> j) & 1 == 0]
-        if not np.all(table[without] <= table[without | (1 << j)] + EPS):
-            monotone = False
-            break
-
-    subadditive = True
-    for a in masks:
-        if not np.all(table[a | masks] <= table[a] + table + EPS):
-            subadditive = False
-            break
-
-    return AxiomReport(bool(normalized), monotone, subadditive)
+    sub, rest, starts, _ = _layer_pairs(v.m)
+    part, other = table[sub], table[rest]
+    larger, split = np.maximum(part, other), part + other
+    shrinks = np.maximum.reduceat(larger, starts) > table + EPS  # a subset worth more than S
+    exceeds = table > np.minimum.reduceat(split, starts) + EPS  # S worth more than a split
+    report = AxiomReport(bool(table[0] == 0.0), not shrinks.any(), not exceeds.any())
+    # the first failing S of the first failing axiom, and the first of its splits that fails
+    if not report.normalized:
+        return replace(report, witness=_worth(table, 0))
+    if not report.monotone:
+        s = int(np.argmax(shrinks))
+        i = starts[s] + int(np.argmax(larger[starts[s]:] > table[s] + EPS))
+        u = sub[i] if part[i] > table[s] + EPS else rest[i]
+        return replace(report, witness=f"{_worth(table, u)} > {_worth(table, s)}")
+    if not report.subadditive:
+        s = int(np.argmax(exceeds))
+        i = starts[s] + int(np.argmax(table[s] > split[starts[s]:] + EPS))
+        return replace(report, witness=f"{_worth(table, s)} > {_worth(table, sub[i], rest[i])}")
+    return report
 
 
 def restrict(v: Valuation, goods: Sequence[int]) -> Valuation:
@@ -376,7 +398,9 @@ def save_instance(inst: Instance, path: str | Path) -> None:
 
 def load_instance(path: str | Path) -> Instance:
     try:
-        text = Path(path).read_text()
+        data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ValueError(f"cannot read instance file {path}: {exc.strerror}") from None
-    return instance_from_dict(json.loads(text))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ValueError(f"cannot parse instance file {path}: {exc}") from None
+    return instance_from_dict(data)

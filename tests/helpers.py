@@ -10,6 +10,7 @@ from pmean.swmax import EXACT, enumerate_labeled_partitions, sw_estimate
 from pmean.valuations import (
     EPS,
     Additive,
+    AxiomReport,
     BudgetAdditive,
     ExplicitTable,
     Instance,
@@ -75,6 +76,26 @@ def layer_pairs_reference(m):
         subs += ts
         rests += [s ^ t for t in ts]
     return subs, rests, starts
+
+
+def axioms_by_scan(table):
+    """Independent axiom check of a dense table: monotonicity over every
+    single-good extension, subadditivity over all 4^m ordered subset pairs."""
+    table = np.asarray(table, dtype=float)
+    m = table.size.bit_length() - 1
+    masks = np.arange(1 << m)
+    monotone = True
+    for j in range(m):
+        without = masks[(masks >> j) & 1 == 0]
+        if not np.all(table[without] <= table[without | (1 << j)] + EPS):
+            monotone = False
+            break
+    subadditive = True
+    for a in masks:
+        if not np.all(table[a | masks] <= table[a] + table + EPS):
+            subadditive = False
+            break
+    return AxiomReport(bool(table[0] == 0.0), monotone, subadditive)
 
 
 def alg_by_restriction(inst, backend=EXACT):

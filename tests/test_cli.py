@@ -160,8 +160,12 @@ def test_greedy_solve_deals_wide_budget_additive_instances(tmp_path, capsys):
          "clause weights must be"),
         ({"n": 2, "valuation": {"type": "explicit", "table": [0.0, 1.0, float("inf"), 2.0]}},
          "table values must be"),
-        ({"n": 2, "valuation": {"type": "explicit", "table": [0, 1, 1, 10]}}, "table must be"),
-        ({"n": 2, "valuation": {"type": "explicit", "table": [0, 2, 1, 1]}}, "table must be"),
+        ({"n": 2, "valuation": {"type": "explicit", "table": [0, 1, 1, 10]}},
+         "table must be normalized, monotone and subadditive (fails: subadditive): "
+         "v({0, 1}) = 10 > v({0}) + v({1}) = 2\n"),
+        ({"n": 2, "valuation": {"type": "explicit", "table": [0, 2, 1, 1]}},
+         "table must be normalized, monotone and subadditive (fails: monotone): "
+         "v({0}) = 2 > v({0, 1}) = 1\n"),
         ({"n": 2}, "valuation must be an object, got nothing"),
         ({"n": 2, "valuation": {"type": "additive"}},
          "weights must be a list of numbers, got nothing"),
@@ -172,14 +176,31 @@ def test_greedy_solve_deals_wide_budget_additive_instances(tmp_path, capsys):
         ({"n": 2, "valuation": {"type": "xos", "clauses": [1, 2]}},
          "clauses must be a list of lists of numbers, got [1, 2]"),
         (None, "cannot read instance file "),
+        (b"nonsense", "cannot parse instance file "),
+        (b"\xff\xfe", "cannot parse instance file "),
+        (b"[" * 200_000, "cannot parse instance file "),
+        ({"n": 0, "valuation": {"type": "additive", "weights": [1.0]}},
+         "need at least one agent"),
+        ({"n": 2, "valuation": {"type": "additive", "weights": [1.0] * 64}},
+         "at most 63 goods supported"),
+        ({"n": 2, "valuation": {"type": "foo"}}, "unknown valuation type: 'foo'"),
+        ({"n": 2, "valuation": {"type": "xos", "clauses": []}}, "need at least one clause"),
+        ({"n": 2, "valuation": {"type": "xos", "clauses": [[1.0], [1.0, 2.0]]}},
+         "all clauses must have the same length"),
+        ({"n": 2, "valuation": {"type": "explicit", "table": [0.0] * (1 << 17)}},
+         "explicit tables support at most 16 goods"),
     ],
     ids=["nan-weight", "infinite-cap", "fractional-n", "infinite-clause", "infinite-table",
          "superadditive-table", "non-monotone-table", "no-valuation", "no-weights",
-         "top-level-list", "scalar-weights", "list-valuation", "scalar-clauses", "missing-file"],
+         "top-level-list", "scalar-weights", "list-valuation", "scalar-clauses", "missing-file",
+         "not-json", "not-utf8", "too-deep", "no-agents", "64-goods", "unknown-type",
+         "no-clauses", "ragged-clauses", "17-goods-table"],
 )
 def test_verify_rejects_a_bad_field_with_exit_two(tmp_path, capsys, document, error):
     path = tmp_path / "bad.json"
-    if document is not None:  # None leaves the file missing
+    if isinstance(document, bytes):
+        path.write_bytes(document)
+    elif document is not None:  # None leaves the file missing
         path.write_text(json.dumps(document))  # NaN / Infinity tokens
     code = cli.main(["verify", "--instance", str(path), "--p=-inf,0,1"])
     captured = capsys.readouterr()
@@ -187,8 +208,19 @@ def test_verify_rejects_a_bad_field_with_exit_two(tmp_path, capsys, document, er
     assert captured.out == ""
     assert captured.err.startswith(f"error: {error}")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
-    if document is None:
+    if error.startswith("cannot "):
         assert str(path) in captured.err
+
+
+def test_verify_needs_an_exponent(instance_file, capsys):
+    code = cli.main(["verify", "--instance", instance_file, "--p=,"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: need at least one exponent\n"
+
+
+def test_generate_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown family 'foo'"):
+        cli.generate_instance("foo", 2, 3, 0)
 
 
 def test_verify_csv_rows_mirror_json(instance_file, capsys):

@@ -146,3 +146,16 @@ def test_reduced_demand_oracle_matches_brute_force():
         _, got = demand(v, prices)
         _, best = brute_demand(v, prices)
         assert got == pytest.approx(best, abs=1e-9)
+
+
+@pytest.mark.parametrize("q, edges, error", [(0, ((0, 0, 0),), "need q >= 1"),
+                                             (2, (), "need at least one hyperedge")])
+def test_gadget_rejects_an_empty_block_or_edge_list(q, edges, error):
+    with pytest.raises(ValueError, match=error):
+        Gap3dmInstance(q, edges)
+
+
+@pytest.mark.parametrize("alpha", (0.0, 1.0, -0.5))
+def test_verify_no_side_rejects_alpha_outside_the_open_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        verify_no_side(generate_no_instance(2), alpha, P_GRID)

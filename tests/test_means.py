@@ -139,3 +139,11 @@ def test_check_allocation_rejects_bad_partitions():
     with pytest.raises(ValueError):
         check_allocation((), 0)
     check_allocation((0b01, 0b10, 0), 2)  # empty bundles are fine
+
+
+def test_welfare_rejects_a_bundle_outside_the_goods_and_a_wrong_bundle_count():
+    inst = Instance(2, Additive((4, 6)))
+    with pytest.raises(ValueError, match="has bits outside"):
+        p_mean_welfare(inst, (0b01, 0b110), 1.0)
+    with pytest.raises(ValueError, match="expected 2 bundles, got 3"):
+        p_mean_welfare(inst, (0b01, 0b10, 0), 1.0)

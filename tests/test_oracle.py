@@ -236,3 +236,10 @@ def test_structural_check_detects_a_genuine_counterexample_shape():
 def test_structural_check_rejects_high_exponents():
     with pytest.raises(ValueError):
         check_structural_lemma(Instance(1, Additive((1,))), 0.7, 1.0)
+
+
+def test_empty_exponent_grid_skips_the_budget_check():
+    inst = Instance(8, Additive((1.0,) * 20))  # (8 - 2) * 3^20 cells, far over any budget
+    assert p_opt_grid(inst, []) == []
+    with pytest.raises(BudgetExceeded):
+        p_opt_grid(inst, [1.0])

@@ -1,5 +1,6 @@
 """Property tests: seeded hypothesis draws checked against independent oracles."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,11 +15,14 @@ from pmean.valuations import (
     ExplicitTable,
     Instance,
     Xos,
+    check_axioms,
     full_set,
+    mask_of,
     value,
+    value_table,
 )
 
-from helpers import rescan_opts
+from helpers import axioms_by_scan, rescan_opts
 
 
 def _valuation(draw, rows):
@@ -90,3 +94,38 @@ def test_alg_partitions_the_goods_and_phase_two_keeps_its_floor(inst):
             floor = trace.f_values[-1] * (1 / 3 - 1 / 3.53) - EPS
             for b in trace.phase2_bundles[:-1]:
                 assert value(inst.valuation, b) >= floor
+
+
+@st.composite
+def integer_tables(draw):
+    """Integer-valued tables of 0..8 goods, so that no verdict hides inside
+    EPS: a max-of-additive table, which holds every axiom, the same with the
+    entry of one drawn set of goods raised or lowered, or entries drawn
+    uniformly from 0..9."""
+    m = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(("valid", "raised", "lowered", "random")))
+    if kind == "random":
+        return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 10, 1 << m)
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 9).map(float)] * m), min_size=1, max_size=3))
+    table = value_table(Xos(tuple(rows)))
+    entry = mask_of(draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m)))
+    step = draw(st.integers(1, 9))
+    if kind == "raised":
+        table[entry] += step
+    elif kind == "lowered":
+        table[entry] = max(0.0, table[entry] - step)
+    return table
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(table=integer_tables())
+def test_axiom_pass_agrees_with_the_pair_scan(table):
+    # the pass checks disjoint splits only, which decide subadditivity on a
+    # monotone table; on other tables only the overall verdict must agree
+    report = check_axioms(ExplicitTable(tuple(map(float, table))))
+    reference = axioms_by_scan(table)
+    assert report.all_ok == reference.all_ok
+    # on integer tables a chain of steps within EPS is a step within EPS
+    assert (report.normalized, report.monotone) == (reference.normalized, reference.monotone)
+    if reference.monotone:
+        assert report == reference

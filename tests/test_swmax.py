@@ -113,3 +113,8 @@ def test_greedy_is_a_valid_heuristic():
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
         sw_estimate(Instance(1, Additive((1,))), "lp")
+
+
+def test_enumeration_rejects_a_negative_good_count():
+    with pytest.raises(ValueError, match="need n >= 1 and m >= 0"):
+        next(enumerate_labeled_partitions(-1, 2))

@@ -5,6 +5,7 @@ import pytest
 
 from pmean.errors import SizeLimitExceeded
 from pmean.valuations import (
+    EPS,
     Additive,
     AxiomReport,
     BudgetAdditive,
@@ -24,7 +25,7 @@ from pmean.valuations import (
 )
 
 
-from helpers import FAMILIES, brute_demand, random_valuation
+from helpers import FAMILIES, axioms_by_scan, brute_demand, random_valuation
 
 
 def test_value_additive():
@@ -110,6 +111,25 @@ def test_check_axioms_scans_all_pairs():
     assert report.monotone and report.subadditive
 
 
+def test_check_axioms_tolerates_exactly_eps():
+    assert check_axioms(ExplicitTable((0, 0, 0, EPS))).subadditive  # v({0, 1}) = 0 + 0 + EPS
+    assert check_axioms(ExplicitTable((0, EPS, 0, 0))).monotone  # v({0}) = v({0, 1}) + EPS
+    report = check_axioms(ExplicitTable((0, 2 * EPS, 0, 0)))
+    assert report == AxiomReport(True, False, True)
+    assert report.witness == f"v({{0}}) = {2 * EPS!r} > v({{0, 1}}) = 0"
+
+
+def test_check_axioms_tolerance_spans_a_chain_of_steps():
+    # each single-good step loses 0.9 EPS, which the per-step scan forgives,
+    # but v({0}) exceeds v({0, 1, 2}) by 1.8 EPS
+    table = [0.0] * 8
+    table[0b001], table[0b011], table[0b101] = 1.8 * EPS, 0.9 * EPS, 0.9 * EPS
+    assert axioms_by_scan(table).monotone
+    report = check_axioms(ExplicitTable(tuple(table)))
+    assert not report.monotone
+    assert report.witness.startswith("v({0}) = ") and report.witness.endswith(" > v({0, 1, 2}) = 0")
+
+
 def test_check_axioms_size_cap():
     with pytest.raises(SizeLimitExceeded):
         check_axioms(Additive((1.0,) * 13))
@@ -173,3 +193,14 @@ def test_instance_round_trip(tmp_path):
         data = instance_to_dict(inst)
         again = instance_from_dict(data)
         assert again == inst
+
+
+def test_demand_needs_one_price_per_good():
+    with pytest.raises(ValueError, match="expected 3 prices, got 2"):
+        demand(Additive((1.0, 2.0, 3.0)), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("goods, error", [([0, 0], "duplicate goods"), ([0, 3], "good 3 out of range")])
+def test_restrict_rejects_bad_goods(goods, error):
+    with pytest.raises(ValueError, match=error):
+        restrict(Additive((1.0, 2.0, 3.0)), goods)
