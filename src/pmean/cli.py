@@ -6,8 +6,10 @@ size or budget errors, malformed, unreadable or unparsable instance files, and
 explicit tables of up to 12 goods that fail an axiom.  The exact
 engine's budget defaults to 10^7 subset-DP cells, (n - 2) * 3^m + 2^m for n
 bundles of m goods, and --budget overrides it per run.
-`exact`, `verify` and `hardness-demo` build the DP's value table and layer
-pairs once per instance and share them across all requested exponents.
+`exact` and `hardness-demo` build the DP's value table and layer pairs once
+and share them across all requested exponents; `verify` builds them for alg's
+p = 1 engine, again for the oracle, and a third time to check the axioms of
+an explicit table of up to 12 goods.
 
 Instances are generated with NumPy's PCG64 generator (np.random.default_rng
 seeded with the documented 64-bit seed), so a (family, n, m, seed) tuple always

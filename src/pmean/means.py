@@ -43,15 +43,14 @@ def parse_exponent(text: str) -> float:
 
 
 def p_mean(values: Sequence[float], p: float) -> float:
-    """Generalized mean of nonnegative values with exponent p <= 1."""
+    """Generalized mean of finite nonnegative values with exponent p <= 1."""
     vals = [float(x) for x in values]
     if not vals:
         raise EmptyInput("p_mean of an empty list")
     if math.isnan(p) or p > 1.0:
         raise ValueError(f"exponent must be <= 1 (or -inf), got {p}")
-    for x in vals:
-        if x < 0.0:
-            raise ValueError("values must be nonnegative")
+    if any(not 0.0 <= x < math.inf for x in vals):  # NaN fails both comparisons
+        raise ValueError("values must be finite and nonnegative")
 
     if p == NEG_INF:
         return min(vals)

@@ -9,9 +9,9 @@ subset DP the oracle runs at every exponent, optimal by construction: SubsetDP
 builds the per-instance part once (value table, layer pairs) and at(p) the
 per-exponent layers, from which the best split of any goods set among any
 number of agents is rebuilt, one blocked first-best scan per agent, so one
-p = 1 pass serves every estimate of an alg run.  The greedy backend deals the
-goods round-robin in ascending index, with no demand query, no table and no
-claimed guarantee.
+p = 1 pass serves every estimate of an alg run; _fold, which fills each layer,
+is the one reader of the pair index.  The greedy backend deals the goods
+round-robin in ascending index, with no demand query, no table and no guarantee.
 """
 
 from __future__ import annotations
@@ -117,38 +117,30 @@ def _submasks(subset: int) -> np.ndarray:
     return out
 
 
-def _layer_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+def _layer_pairs(m: int) -> list:
     """(T, S minus T) for every S and every T within S holding S's lowest good
-    (some bundle of any partition of S does), grouped by S ascending, the group
-    starts, and the block bounds (S lo, S hi, pair lo, pair hi): runs of whole S
-    groups of about _BLOCK pairs, which the middle layers fill one at a time.
-    The pairs are built block by block too, so no temporary outgrows a block.
+    (some bundle of any partition of S does), grouped by S ascending, as the
+    blocks _fold walks: runs of whole S groups of about _BLOCK pairs, each
+    (sub, rest, group starts within the block, S lo, S hi) and built on its
+    own, so no temporary outgrows a block.
     """
     counts = np.zeros(1, dtype=np.int64)
     for _ in range(m):
         counts = np.concatenate([counts, counts + 1])
-    dtype = np.uint16 if m <= 16 else np.uint32
-    wholes = np.arange(1 << m, dtype=dtype)
+    wholes = np.arange(1 << m, dtype=np.uint16 if m <= 16 else np.uint32)
     sizes = 1 << (counts - (wholes > 0))
     starts = np.cumsum(sizes) - sizes
     total = (3**m + 1) // 2
-    if total <= _BLOCK:  # one block: the arrays are the block's own
-        sub, rest = _pair_block(wholes, sizes, starts, m)
-        return sub, rest, starts, [(0, 1 << m, 0, total)]
+    if total <= _BLOCK:  # one block: the index is the block
+        return [(*_pair_block(wholes, sizes, starts, m), starts, 0, 1 << m)]
     # a block starts with the group that holds pair number i * _BLOCK
     cuts = np.unique(np.searchsorted(starts, np.arange(0, total, _BLOCK), "right") - 1).tolist()
     cuts.append(1 << m)
-    sub = np.empty(total, dtype=dtype)
-    rest = np.empty(total, dtype=dtype)
-    bounds = []
+    blocks = []
     for lo, hi in zip(cuts, cuts[1:]):
-        p_lo = int(starts[lo])
-        p_hi = int(starts[hi]) if hi < 1 << m else total
-        sub[p_lo:p_hi], rest[p_lo:p_hi] = _pair_block(
-            wholes[lo:hi], sizes[lo:hi], starts[lo:hi] - p_lo, m
-        )
-        bounds.append((lo, hi, p_lo, p_hi))
-    return sub, rest, starts, bounds
+        offsets = starts[lo:hi] - starts[lo]
+        blocks.append((*_pair_block(wholes[lo:hi], sizes[lo:hi], offsets, m), offsets, lo, hi))
+    return blocks
 
 
 def _pair_block(wholes: np.ndarray, sizes: np.ndarray, offsets: np.ndarray, m: int):
@@ -175,8 +167,8 @@ class SubsetDP:
     of g(v(T)) combined with F_(k-1)[S minus T] (see _scores).  Layers 1 .. n-1
     cover every S; the budget caps the (S, T) pairs of all n layers,
     (n - 2) * 3^m + 2^m, of which _layer_pairs needs half.  Each middle layer
-    is filled one block of S groups at a time, so apart from the 2^m layers no
-    float array outgrows a block of _BLOCK pairs.
+    is _fold(pairs, g, F_(k-1), combine), one block of S groups at a time, so
+    apart from the 2^m layers no float array outgrows a block of _BLOCK pairs.
     """
 
     def __init__(self, inst: Instance, budget: int = DEFAULT_ENUM_BUDGET):
@@ -200,31 +192,32 @@ class SubsetDP:
         g, combine = _scores(self.table, p)
         layers = [g]  # layers[k - 1][S] = F_k[S]
         for _ in range(self.n - 2):
-            layers.append(self._layer(g, layers[-1], combine))
+            layers.append(_fold(self.pairs, g, layers[-1], combine))
         return partial(_rebuild, layers, combine)
 
-    def _layer(self, g: np.ndarray, prev: np.ndarray, combine) -> np.ndarray:
-        """F_k from F_(k-1) = prev: each S group's best g(v(T)) combined with
-        prev[S minus T], one block of groups at a time."""
-        sub, rest, starts, bounds = self.pairs
-        if len(bounds) == 1:
-            cand = g[sub]
-            combine(cand, prev[rest], out=cand)
-            return np.maximum.reduceat(cand, starts)
-        # one block's indices, widened once, and its two gathers, reused by every block
-        width = max(p_hi - p_lo for _, _, p_lo, p_hi in bounds)
-        index, cand, other = np.empty(width, dtype=np.intp), np.empty(width), np.empty(width)
-        layer = np.empty(g.size)
-        for lo, hi, p_lo, p_hi in bounds:
-            idx, c, o = index[: p_hi - p_lo], cand[: p_hi - p_lo], other[: p_hi - p_lo]
-            # every index is below 2^m, so "clip" only skips the bounds check
-            np.copyto(idx, sub[p_lo:p_hi])
-            np.take(g, idx, out=c, mode="clip")
-            np.copyto(idx, rest[p_lo:p_hi])
-            np.take(prev, idx, out=o, mode="clip")
-            combine(c, o, out=c)
-            np.maximum.reduceat(c, starts[lo:hi] - p_lo, out=layer[lo:hi])
-        return layer
+
+def _fold(blocks: list, own: np.ndarray, other: np.ndarray, combine) -> np.ndarray:
+    """For every S, the largest own[T] combined with other[S minus T] over the
+    splits of S in the index blocks of _layer_pairs, one block at a time."""
+    if len(blocks) == 1:
+        sub, rest, starts, _, _ = blocks[0]
+        cand = own[sub]
+        combine(cand, other[rest], out=cand)
+        return np.maximum.reduceat(cand, starts)
+    # one block's indices, widened once, and its two gathers, reused by every block
+    width = max(block[0].size for block in blocks)
+    index, cand, gathered = np.empty(width, dtype=np.intp), np.empty(width), np.empty(width)
+    out = np.empty(own.size)
+    for sub, rest, starts, lo, hi in blocks:
+        idx, c, o = index[: sub.size], cand[: sub.size], gathered[: sub.size]
+        # every index is below 2^m, so "clip" only skips the bounds check
+        np.copyto(idx, sub)
+        np.take(own, idx, out=c, mode="clip")
+        np.copyto(idx, rest)
+        np.take(other, idx, out=o, mode="clip")
+        combine(c, o, out=c)
+        np.maximum.reduceat(c, starts, out=out[lo:hi])
+    return out
 
 
 def _rebuild(layers: list, combine, goods: int, agents: int) -> tuple[int, ...]:

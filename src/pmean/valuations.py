@@ -277,34 +277,33 @@ def check_axioms(v: Valuation) -> AxiomReport:
     """Exhaustively verify normalization, monotonicity and subadditivity on the
     subset DP's splits (T, S minus T) of every S, T holding S's lowest good:
     every proper subset of S is a T or an S minus T, so the splits decide
-    monotonicity, and for a monotone table subadditivity.  The witness is the
-    first failing set of the first failing axiom.  m <= 12."""
+    monotonicity, and for a monotone table subadditivity.  Each is one blocked
+    swmax._fold over those splits.  The witness is the first failing set of
+    the first failing axiom, and its first failing split.  m <= 12."""
     if v.m > AXIOM_SCAN_MAX_GOODS:
         raise SizeLimitExceeded(
             f"axiom scan enumerates subset pairs; m <= {AXIOM_SCAN_MAX_GOODS} required"
         )
-    from .swmax import _layer_pairs  # swmax imports this module when it loads
+    from .swmax import _fold, _layer_pairs, _submasks  # swmax imports this module when it loads
 
     table = value_table(v)
-    sub, rest, starts, _ = _layer_pairs(v.m)
-    part, other = table[sub], table[rest]
-    larger, split = np.maximum(part, other), part + other
-    shrinks = np.maximum.reduceat(larger, starts) > table + EPS  # a subset worth more than S
-    exceeds = table > np.minimum.reduceat(split, starts) + EPS  # S worth more than a split
+    pairs = _layer_pairs(v.m)
+    # the largest subset of S, and (negation commutes with + bit for bit) the cheapest split
+    shrinks = _fold(pairs, table, table, np.maximum) > table + EPS
+    exceeds = table > -_fold(pairs, -table, -table, np.add) + EPS
     report = AxiomReport(bool(table[0] == 0.0), not shrinks.any(), not exceeds.any())
-    # the first failing S of the first failing axiom, and the first of its splits that fails
     if not report.normalized:
         return replace(report, witness=_worth(table, 0))
-    if not report.monotone:
-        s = int(np.argmax(shrinks))
-        i = starts[s] + int(np.argmax(larger[starts[s]:] > table[s] + EPS))
-        u = sub[i] if part[i] > table[s] + EPS else rest[i]
+    if report.all_ok:
+        return report
+    s = int(np.argmax(exceeds if report.monotone else shrinks))  # the first failing S
+    ts = (s & -s) | _submasks(s & (s - 1))  # the T of its splits, in the index's order
+    if not report.monotone:  # the first T or S minus T worth more than S
+        us = np.stack([ts, s ^ ts], axis=1).ravel()
+        u = int(us[np.argmax(table[us] > table[s] + EPS)])
         return replace(report, witness=f"{_worth(table, u)} > {_worth(table, s)}")
-    if not report.subadditive:
-        s = int(np.argmax(exceeds))
-        i = starts[s] + int(np.argmax(table[s] > split[starts[s]:] + EPS))
-        return replace(report, witness=f"{_worth(table, s)} > {_worth(table, sub[i], rest[i])}")
-    return report
+    t = int(ts[np.argmax(table[s] > table[ts] + table[s ^ ts] + EPS)])
+    return replace(report, witness=f"{_worth(table, s)} > {_worth(table, t, s ^ t)}")
 
 
 def restrict(v: Valuation, goods: Sequence[int]) -> Valuation:

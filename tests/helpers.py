@@ -1,8 +1,13 @@
 """Shared test utilities: seeded instance draws and tiny independent oracles."""
 
+import functools
 import itertools
+import json
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pmean.allocator import PHASE1_DIVISOR, AlgTrace, alg_low
 from pmean.means import p_mean
@@ -21,9 +26,12 @@ from pmean.valuations import (
     mask_of,
     restrict,
     value,
+    value_table,
 )
 
 FAMILIES = ("additive", "budget_additive", "xos", "explicit")
+
+GOLDEN = Path(__file__).parent / "corpus" / "golden.json"
 
 
 def random_valuation(family, rng, m, clause_count=3):
@@ -125,3 +133,63 @@ def alg_by_restriction(inst, backend=EXACT):
     phase2 = [mask_of(leftover[j] for j in goods_of(b)) for b in local]
     trace = AlgTrace(len(singles), singles, f_values, phase2, est.guarantee)
     return tuple(1 << g for g in singles) + tuple(phase2), trace
+
+
+@functools.cache
+def golden():
+    """The committed outputs of tests/make_golden.py, by section and record key."""
+    return json.loads(GOLDEN.read_text())
+
+
+def instance_key(family, n, m, seed):
+    return f"{family} {n} {m} {seed}"
+
+
+def alg_record(alloc, trace, optima):
+    """alg's allocation and whole trace, and the allocation of each optimum,
+    as bitmasks."""
+    return {
+        "alloc": list(alloc),
+        **asdict(trace),
+        "guarantee": trace.guarantee.value,
+        "optima": [list(opt.alloc) for opt in optima],
+    }
+
+
+def golden_drift(record, expected):
+    """The fields in which a record differs from its golden record: the
+    welfare estimates by more than 1e-12 relative, the rest at all."""
+    if record.keys() != expected.keys():
+        return sorted(record.keys() ^ expected.keys())
+    return [
+        key
+        for key, want in expected.items()
+        if record[key] != (pytest.approx(want, rel=1e-12, abs=0) if key == "f_values" else want)
+    ]
+
+
+def axiom_tables(count=300):
+    """(seed, kind, m, table): seeded dense tables of 0..12 goods, a quarter of
+    each kind: max of three additive rows, which holds every axiom; the same
+    with one entry times U(1, 3) or times U(0, 1); and entries uniform in
+    [0, 1), with v({}) = 0 in every other one."""
+    kinds = ("xos", "raised", "lowered", "uniform")
+    for seed in range(count):
+        rng = np.random.default_rng(7000 + seed)
+        kind, m = kinds[seed % 4], int(rng.integers(0, 13))
+        if kind == "uniform":
+            table = rng.uniform(0, 1, 1 << m)
+            if seed % 8 == 3:
+                table[0] = 0.0
+        else:
+            table = value_table(Xos(tuple(tuple(rng.uniform(0, 100, m)) for _ in range(3))))
+            entry = int(rng.integers(0, 1 << m))
+            if kind == "raised":
+                table[entry] *= rng.uniform(1, 3)
+            elif kind == "lowered":
+                table[entry] *= rng.uniform(0, 1)
+        yield seed, kind, m, table
+
+
+def axiom_record(kind, m, report):
+    return {"kind": kind, "m": m, **asdict(report)}

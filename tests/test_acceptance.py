@@ -17,7 +17,8 @@ bound.
 Criterion 1's grid (m <= 8) never runs phase two inside alg: phase one always
 leaves one agent.  Criterion 8 runs a grid at m = 10, 12 where alg_low splits
 among two or more agents, plus the worst instance of that grid, checked in
-under tests/corpus.
+under tests/corpus.  Both grids also hold alg's allocation and trace and each
+optimum's allocation to tests/corpus/golden.json (written by make_golden.py).
 """
 
 import math
@@ -54,7 +55,7 @@ from pmean.valuations import (
     value,
 )
 
-from helpers import FAMILIES, brute_demand
+from helpers import FAMILIES, alg_record, brute_demand, golden, golden_drift, instance_key
 
 P_GRID = [
     ("-inf", NEG_INF),
@@ -93,15 +94,19 @@ def test_criterion_1_uniform_ratio_suite():
     worst_cell = None
     cells = vacuous = 0
     failures = []
+    golden_records, drift = dict(golden()["criterion_1"]), []
     for family, n, m, seed, inst in _suite_instances():
-        alloc, _ = alg(inst)
-        for token, p in P_GRID:
+        alloc, trace = alg(inst)
+        optima = [p_opt_brute(inst, p) for _, p in P_GRID]
+        key = instance_key(family, n, m, seed)
+        if fields := golden_drift(alg_record(alloc, trace, optima), golden_records.pop(key)):
+            drift.append((key, fields))
+        for (token, p), opt in zip(P_GRID, optima):
             cells += 1
-            opt = p_opt_brute(inst, p).welfare
-            if opt <= 0.0:
+            if opt.welfare <= 0.0:
                 vacuous += 1
                 continue
-            ratio = p_mean_welfare(inst, alloc, p) / opt
+            ratio = p_mean_welfare(inst, alloc, p) / opt.welfare
             if ratio < worst:
                 worst, worst_cell = ratio, (family, n, m, seed, token)
             if ratio < RATIO_FLOOR - 1e-9:
@@ -113,6 +118,8 @@ def test_criterion_1_uniform_ratio_suite():
         f"floor {RATIO_FLOOR:.4f}, {elapsed:.1f}s"
     )
     assert _report("1 uniform-ratio", ok, detail), failures[:5]
+    # every golden record was met, and each gave the same outputs
+    assert not golden_records and not drift, (sorted(golden_records)[:5], drift[:5])
 
 
 def _low_value_corpus():
@@ -418,16 +425,24 @@ def test_criterion_7_oracle_cross_checks():
     ), bad[:5]
 
 
+def _phase_two_instances():
+    for family in FAMILIES:
+        for n in (2, 3):
+            for m in (10, 12):
+                for seed in range(8):
+                    yield family, n, m, seed, generate_instance(family, n, m, seed)
+
+
 def _phase_two_ratios(inst):
-    """alg's allocation and trace, and its ratio to the exact optimum at every
-    P_GRID exponent (None where the optimum is 0)."""
+    """alg's allocation and trace, the exact optimum at every P_GRID exponent,
+    and alg's ratio to each (None where the optimum is 0)."""
     alloc, trace = alg(inst)
-    opts = p_opt_grid(inst, [p for _, p in P_GRID])
+    optima = p_opt_grid(inst, [p for _, p in P_GRID])
     ratios = [
         p_mean_welfare(inst, alloc, p) / opt.welfare if opt.welfare > 0.0 else None
-        for (_, p), opt in zip(P_GRID, opts)
+        for (_, p), opt in zip(P_GRID, optima)
     ]
-    return trace, ratios
+    return alloc, trace, optima, ratios
 
 
 def test_criterion_8_phase_two_grid():
@@ -436,21 +451,22 @@ def test_criterion_8_phase_two_grid():
     worst_cell = None
     cells = vacuous = splits = 0
     failures = []
-    for family in FAMILIES:
-        for n in (2, 3):
-            for m in (10, 12):
-                for seed in range(8):
-                    trace, ratios = _phase_two_ratios(generate_instance(family, n, m, seed))
-                    splits += n - trace.k >= 2
-                    for (token, _), ratio in zip(P_GRID, ratios):
-                        cells += 1
-                        if ratio is None:
-                            vacuous += 1
-                            continue
-                        if ratio < worst:
-                            worst, worst_cell = ratio, (family, n, m, seed, token)
-                        if ratio < RATIO_FLOOR - 1e-9:
-                            failures.append((family, n, m, seed, token, ratio))
+    golden_records, drift = dict(golden()["criterion_8"]), []
+    for family, n, m, seed, inst in _phase_two_instances():
+        alloc, trace, optima, ratios = _phase_two_ratios(inst)
+        key = instance_key(family, n, m, seed)
+        if fields := golden_drift(alg_record(alloc, trace, optima), golden_records.pop(key)):
+            drift.append((key, fields))
+        splits += n - trace.k >= 2
+        for (token, _), ratio in zip(P_GRID, ratios):
+            cells += 1
+            if ratio is None:
+                vacuous += 1
+                continue
+            if ratio < worst:
+                worst, worst_cell = ratio, (family, n, m, seed, token)
+            if ratio < RATIO_FLOOR - 1e-9:
+                failures.append((family, n, m, seed, token, ratio))
     elapsed = time.time() - start
     # 48 of the 128 instances split today; the floor keeps that coverage from
     # silently disappearing
@@ -461,6 +477,7 @@ def test_criterion_8_phase_two_grid():
         f"floor {RATIO_FLOOR:.4f}, {elapsed:.1f}s"
     )
     assert _report("8 phase-two grid", ok, detail), failures[:5]
+    assert not golden_records and not drift, (sorted(golden_records)[:5], drift[:5])
 
 
 def test_criterion_8_worst_phase_two_instance():
@@ -468,7 +485,7 @@ def test_criterion_8_worst_phase_two_instance():
     # p = -inf, with phase one taking no singleton and phase two splitting
     inst = load_instance(Path(__file__).parent / "corpus" / "phase_two_worst.json")
     assert inst == generate_instance("budget_additive", 2, 12, 7)
-    trace, ratios = _phase_two_ratios(inst)
+    _, trace, _, ratios = _phase_two_ratios(inst)
     assert trace.k == 0 and len(trace.f_values) == 1  # stopped below the bar
     assert all(ratio >= RATIO_FLOOR - 1e-9 for ratio in ratios)
     floor = trace.f_values[-1] * (1 / 3 - 1 / PHASE1_DIVISOR) - EPS

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmean.errors import EmptyInput
 from pmean.means import NEG_INF, check_allocation, p_mean, p_mean_welfare, parse_exponent
@@ -48,6 +49,11 @@ def test_empty_input_raises():
 def test_negative_values_rejected():
     with pytest.raises(ValueError):
         p_mean([1, -2], 1.0)
+    # NaN and infinite values are rejected too, at every exponent's code path
+    for bad in (math.nan, math.inf, -math.inf):
+        for p in (NEG_INF, -1.0, 0.0, 1e-5, 0.5, 1.0):
+            with pytest.raises(ValueError, match="values must be finite and nonnegative"):
+                p_mean([bad, 1.0], p)
 
 
 def test_exponent_above_one_rejected():
@@ -62,6 +68,29 @@ def test_monotone_in_exponent():
         vals = [p_mean(x, p) for p in P_GRID]
         for lo, hi in zip(vals, vals[1:]):
             assert lo <= hi + 1e-9
+
+
+# straddles the band edge |p| = 1e-4, where p_mean switches formulas
+EXPONENT_LADDER = [
+    NEG_INF, -50.0, -4.0, -1.0, -0.3, -1e-3, -1.5e-4, -1e-4, -9.99e-5, -1e-6, 0.0,
+    1e-6, 9.99e-5, 1e-4, 1.5e-4, 1e-3, 0.3, 0.7, 1.0,
+]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-9, 1e6), st.floats(-9.0, 6.0).map(lambda e: 10.0**e)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_p_mean_is_monotone_in_the_exponent(x):
+    # outside the band the formula divides a log by p, so near |p| = 1e-4 its
+    # rounding grows to a few 1e-12 relative
+    means = [p_mean(x, p) for p in EXPONENT_LADDER]
+    for i, lower in enumerate(means):
+        assert all(lower <= higher * (1 + 1e-11) for higher in means[i + 1 :])
 
 
 def test_scale_equivariance():

@@ -147,20 +147,27 @@ BLOCK_PS = [NEG_INF, -200.0, -1.0, -1e-9, 0.0, 1e-9, 0.4, 1.0]
 def test_layer_pairs_match_the_itertools_reference(monkeypatch, block):
     monkeypatch.setattr(swmax, "_BLOCK", block)
     for m in range(9):
-        sub, rest, starts, bounds = swmax._layer_pairs(m)
-        assert [sub.tolist(), rest.tolist(), starts.tolist()] == list(layer_pairs_reference(m))
+        blocks = swmax._layer_pairs(m)
+        # the blocks, concatenated, are the index: their group starts shift by
+        # the pairs of the blocks before them
+        sub, rest, starts, p_lo = [], [], [], 0
+        for block_sub, block_rest, block_starts, _, _ in blocks:
+            sub += block_sub.tolist()
+            rest += block_rest.tolist()
+            starts += [p_lo + s for s in block_starts.tolist()]
+            p_lo += block_sub.size
+        assert [sub, rest, starts] == list(layer_pairs_reference(m))
         # a block starts with each group that holds pair number i * block, and
         # the blocks tile the groups and their pairs in order
-        edges = starts.tolist() + [sub.size]
+        edges = starts + [len(sub)]
         firsts = sorted(
-            {max(S for S in range(1 << m) if edges[S] <= i) for i in range(0, sub.size, block)}
+            {max(S for S in range(1 << m) if edges[S] <= i) for i in range(0, len(sub), block)}
         )
-        assert [lo for lo, _, _, _ in bounds] == firsts
-        assert bounds[-1][1] == 1 << m
-        for (lo, hi, p_lo, p_hi), after in zip(bounds, bounds[1:] + [(1 << m,)]):
-            assert lo < hi == after[0]
-            assert (p_lo, p_hi) == (edges[lo], edges[hi])
-            assert p_hi - p_lo < block + edges[lo + 1] - edges[lo]
+        los, his = [lo for *_, lo, _ in blocks], [hi for *_, hi in blocks]
+        assert los == firsts and his == los[1:] + [1 << m]
+        for block_sub, _, block_starts, lo, hi in blocks:
+            assert lo < hi and block_starts.size == hi - lo
+            assert block_sub.size == edges[hi] - edges[lo] < block + edges[lo + 1] - edges[lo]
 
 
 @pytest.mark.parametrize(

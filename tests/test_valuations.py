@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pmean.cli import generate_instance
 from pmean.errors import SizeLimitExceeded
 from pmean.valuations import (
     EPS,
@@ -25,7 +27,15 @@ from pmean.valuations import (
 )
 
 
-from helpers import FAMILIES, axioms_by_scan, brute_demand, random_valuation
+from helpers import (
+    FAMILIES,
+    axiom_record,
+    axiom_tables,
+    axioms_by_scan,
+    brute_demand,
+    golden,
+    random_valuation,
+)
 
 
 def test_value_additive():
@@ -128,6 +138,29 @@ def test_check_axioms_tolerance_spans_a_chain_of_steps():
     report = check_axioms(ExplicitTable(tuple(table)))
     assert not report.monotone
     assert report.witness.startswith("v({0}) = ") and report.witness.endswith(" > v({0, 1, 2}) = 0")
+
+
+def test_check_axioms_matches_the_golden_tables():
+    expected = golden()["axiom_tables"]
+    records = {
+        str(seed): axiom_record(kind, m, check_axioms(ExplicitTable(tuple(map(float, table)))))
+        for seed, kind, m, table in axiom_tables()
+    }
+    assert records == expected
+
+
+def test_check_axioms_memory_is_bounded_by_a_block():
+    # 12 goods: 265,721 splits in five blocks.  A float per split would be 2.1 MB;
+    # the index itself is 1.1 MB of uint16.
+    v = generate_instance("explicit", 3, 12, 1).valuation
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert check_axioms(v).all_ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MB"
 
 
 def test_check_axioms_size_cap():
