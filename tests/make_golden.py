@@ -1,6 +1,7 @@
 """Write tests/corpus/golden.json, the outputs tier-1 holds the code to.
 
-For every instance of acceptance criteria 1 and 8 it records alg's allocation
+For every instance of acceptance criteria 1 and 8, and of the grid of 4 to 8
+agents over 3, 5 or 7 goods, it records alg's allocation
 and whole trace and the allocation of each P_GRID optimum, as bitmasks; for
 the seeded tables of helpers.axiom_tables it records check_axioms' report and
 witness.  The tests compare allocations, traces and reports exactly and the
@@ -21,7 +22,7 @@ from pmean.oracle import p_opt_grid  # noqa: E402
 from pmean.valuations import ExplicitTable, check_axioms  # noqa: E402
 
 from helpers import GOLDEN, alg_record, axiom_record, axiom_tables, instance_key  # noqa: E402
-from test_acceptance import P_GRID, _phase_two_instances, _suite_instances  # noqa: E402
+from test_acceptance import P_GRID, _many_agent_instances, _phase_two_instances, _suite_instances  # noqa: E402
 
 
 def main():
@@ -31,7 +32,11 @@ def main():
             instance_key(*cell): alg_record(*alg(inst), p_opt_grid(inst, ps))
             for *cell, inst in grid
         }
-        for name, grid in (("criterion_1", _suite_instances()), ("criterion_8", _phase_two_instances()))
+        for name, grid in (
+            ("criterion_1", _suite_instances()),
+            ("criterion_8", _phase_two_instances()),
+            ("many_agents", _many_agent_instances()),
+        )
     }
     sections["axiom_tables"] = {
         str(seed): axiom_record(kind, m, check_axioms(ExplicitTable(tuple(map(float, table)))))

@@ -17,8 +17,9 @@ bound.
 Criterion 1's grid (m <= 8) never runs phase two inside alg: phase one always
 leaves one agent.  Criterion 8 runs a grid at m = 10, 12 where alg_low splits
 among two or more agents, plus the worst instance of that grid, checked in
-under tests/corpus.  Both grids also hold alg's allocation and trace and each
-optimum's allocation to tests/corpus/golden.json (written by make_golden.py).
+under tests/corpus.  Both grids, and a grid of 4 to 8 agents over 3 to 7
+goods, also hold alg's allocation and trace and each optimum's allocation to
+tests/corpus/golden.json (written by make_golden.py).
 """
 
 import math
@@ -88,6 +89,16 @@ def _suite_instances(seeds=range(50)):
                     yield family, n, m, seed, generate_instance(family, n, m, seed)
 
 
+def _many_agent_instances(seeds=range(2)):
+    """4 families x n 4..8 x m in {3, 5, 7}: the shapes where the subset DP
+    folds 2 to 6 middle layers, and n > m leaves some agent without a good."""
+    for family in FAMILIES:
+        for n in range(4, 9):
+            for m in (3, 5, 7):
+                for seed in seeds:
+                    yield family, n, m, seed, generate_instance(family, n, m, seed)
+
+
 def test_criterion_1_uniform_ratio_suite():
     start = time.time()
     worst = math.inf
@@ -120,6 +131,16 @@ def test_criterion_1_uniform_ratio_suite():
     assert _report("1 uniform-ratio", ok, detail), failures[:5]
     # every golden record was met, and each gave the same outputs
     assert not golden_records and not drift, (sorted(golden_records)[:5], drift[:5])
+
+
+def test_many_agent_outputs_match_the_golden_records():
+    expected, drift = dict(golden()["many_agents"]), []
+    for family, n, m, seed, inst in _many_agent_instances():
+        key = instance_key(family, n, m, seed)
+        record = alg_record(*alg(inst), p_opt_grid(inst, [p for _, p in P_GRID]))
+        if fields := golden_drift(record, expected.pop(key)):
+            drift.append((key, fields))
+    assert not expected and not drift, (sorted(expected)[:5], drift[:5])
 
 
 def _low_value_corpus():
