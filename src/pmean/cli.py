@@ -6,10 +6,12 @@ size or budget errors, malformed, unreadable or unparsable instance files, and
 explicit tables of up to 12 goods that fail an axiom.  The exact
 engine's budget defaults to 10^7 subset-DP cells, (n - 2) * 3^m + 2^m for n
 bundles of m goods, and --budget overrides it per run.
-`exact` and `hardness-demo` build the DP's value table and layer pairs once
-and share them across all requested exponents; `verify` builds them for alg's
-p = 1 engine, again for the oracle, and a third time to check the axioms of
-an explicit table of up to 12 goods.
+Each command that runs the exact engine builds one swmax.SubsetDP under that
+budget, its value table and layer pairs, and shares it: `verify` hands the
+same set-up to alg and to the oracle, `exact` and `hardness-demo` to the
+oracle across all requested exponents, and `solve` builds one only for the
+exact backend.  The axiom check of an explicit table of up to 12 goods runs
+before that and keeps its own table and pair index.
 
 Instances are generated with NumPy's PCG64 generator (np.random.default_rng
 seeded with the documented 64-bit seed), so a (family, n, m, seed) tuple always
@@ -33,7 +35,7 @@ from .allocator import APPROX_FACTOR, SPLIT_EXPONENT, alg
 from .errors import PmeanError
 from .means import bundle_values, p_mean_welfare, parse_exponent
 from .oracle import p_opt_grid
-from .swmax import BACKENDS, DEFAULT_ENUM_BUDGET, EXACT
+from .swmax import BACKENDS, DEFAULT_ENUM_BUDGET, EXACT, SubsetDP
 from .valuations import (
     AXIOM_SCAN_MAX_GOODS,
     EPS,
@@ -150,9 +152,9 @@ def _load_model_instance(path: str) -> Instance:
     return inst
 
 
-def _solve_report(inst: Instance, ps, backend: str, budget: int) -> dict:
+def _solve_report(inst: Instance, ps, backend: str, dp: SubsetDP | None) -> dict:
     start = time.perf_counter()
-    alloc, trace = alg(inst, backend, budget)
+    alloc, trace = alg(inst, backend, dp)
     solve_s = time.perf_counter() - start
     table = [
         {"p": token, "alg_welfare": p_mean_welfare(inst, alloc, p)} for token, p in ps
@@ -177,7 +179,10 @@ def _solve_report(inst: Instance, ps, backend: str, budget: int) -> dict:
 
 def _cmd_solve(args) -> int:
     inst = _load_model_instance(args.instance)
-    report = _solve_report(inst, _parse_p_list(args.p), args.sw_backend, _resolve_budget(args.budget))
+    ps = _parse_p_list(args.p)
+    budget = _resolve_budget(args.budget)
+    dp = SubsetDP(inst, budget) if args.sw_backend == EXACT else None  # greedy tabulates nothing
+    report = _solve_report(inst, ps, args.sw_backend, dp)
     report["command"] = "solve"
     report["instance"] = args.instance
     _emit(report, args.output)
@@ -189,7 +194,7 @@ def _cmd_exact(args) -> int:
     budget = _resolve_budget(args.budget)
     start = time.perf_counter()
     ps = _parse_p_list(args.p)
-    opts = p_opt_grid(inst, [p for _, p in ps], budget)
+    opts = p_opt_grid(inst, [p for _, p in ps], SubsetDP(inst, budget))
     table = [
         {"p": token, "opt_welfare": opt.welfare, "allocation": _bundles_as_lists(opt.alloc)}
         for (token, _), opt in zip(ps, opts)
@@ -211,10 +216,11 @@ def _cmd_verify(args) -> int:
     budget = _resolve_budget(args.budget)
     ps = _parse_p_list(args.p)
     start = time.perf_counter()
-    report = _solve_report(inst, ps, args.sw_backend, budget)
+    dp = SubsetDP(inst, budget)  # one set-up for alg and the oracle
+    report = _solve_report(inst, ps, args.sw_backend, dp)
     table = []
     all_pass = True
-    opts = p_opt_grid(inst, [p for _, p in ps], budget)
+    opts = p_opt_grid(inst, [p for _, p in ps], dp)
     for row, (token, _), opt in zip(report["table"], ps, opts):
         alg_w = row["alg_welfare"]
         if opt.welfare <= 0.0:
@@ -282,7 +288,7 @@ def _cmd_hardness_demo(args) -> int:
         save_instance(inst, args.out)
 
     matching = hardness.max_matching_brute(gadget)
-    opts = [opt.welfare for opt in p_opt_grid(inst, [p for _, p in ps], budget)]
+    opts = [opt.welfare for opt in p_opt_grid(inst, [p for _, p in ps], SubsetDP(inst, budget))]
     table = []
     ok = True
     if args.mode == "yes":

@@ -7,10 +7,12 @@ Zero handling: a zero value forces the mean to 0 for every p <= 0 (the limit of
 the defining formula); for p > 0 zero entries simply contribute nothing to the
 power sum.
 
-Numerical path: means are evaluated in log space.  For 0 < |p| < 1e-4 the power
-sum is expanded around the mean log via expm1/log1p, because the raw formula
-cancels catastrophically near p = 0; outside that band a max-shifted
-log-sum-exp is used, which also avoids overflow for large negative p.
+Numerical path: every finite p other than 0 and 1 takes one centred form in
+log space, exp(c + log1p(sum(expm1(p * (l - c))) / n) / p) over the logs l,
+with c the largest log for p > 0 and the smallest for p < 0.  Every term is
+then in [-1, 0], so nothing overflows at large |p|, and expm1/log1p keep the
+digits that the raw formula cancels near p = 0, so the mean is continuous and
+ordered in p across small exponents.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .valuations import Instance, full_set, value
 
 NEG_INF = float("-inf")
 
-SMALL_EXPONENT_BAND = 1e-4
+SMALL_EXPONENT_BAND = 1e-4  # swmax scores |p| below it by expm1 around p = 0
 
 
 def parse_exponent(text: str) -> float:
@@ -66,20 +68,13 @@ def p_mean(values: Sequence[float], p: float) -> float:
     if p < 0.0 and has_zero:
         return 0.0
 
-    positives = [x for x in vals if x > 0.0]
-    if not positives:
+    logs = [math.log(x) if x > 0.0 else -math.inf for x in vals]
+    c = max(logs) if p > 0.0 else min(logs)
+    if c == -math.inf:
         return 0.0  # p > 0, all values zero
-    logs = [math.log(x) for x in positives]
-
-    if abs(p) < SMALL_EXPONENT_BAND and not has_zero:
-        center = math.fsum(logs) / n
-        spread = math.fsum(math.expm1(p * (l - center)) for l in logs)
-        return math.exp(center + math.log1p(spread / n) / p)
-
-    scaled = [p * l for l in logs]
-    shift = max(scaled)
-    total = math.fsum(math.exp(s - shift) for s in scaled)
-    return math.exp((shift + math.log(total) - math.log(n)) / p)
+    # every p * (l - c) <= 0, so no term overflows, and a zero adds expm1(-inf) = -1
+    spread = math.fsum(math.expm1(p * (l - c)) for l in logs)
+    return math.exp(c + math.log1p(spread / n) / p)
 
 
 def check_allocation(bundles: Sequence[int], m: int) -> None:

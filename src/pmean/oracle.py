@@ -1,11 +1,12 @@
 """Ground truth: exact p-optimal allocations and the checks built on them.
 
 Optima come from swmax.SubsetDP, the subset DP behind the exact welfare
-subroutine, with its work capped by an explicit budget rather than sampled;
+subroutine, with its work capped by a budget of cells rather than sampled;
 the tests check it against a pure-Python scan of every labeled partition.
 p_opt_brute answers one exponent; p_opt_grid answers many from one set-up,
-building the value table and the layer pairs once and only the layers per
-exponent; only p_opt_grid takes a budget, the rest run at the default.
+the value table and the layer pairs, and computes only the layers per
+exponent.  p_opt_grid takes that set-up from its caller, who may have handed
+the same one to alg, or builds SubsetDP(inst) at the default budget.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 from .allocator import APPROX_FACTOR, HIGH_BUNDLE_FACTOR, SPLIT_EXPONENT
 from .means import NEG_INF, p_mean_welfare
-from .swmax import DEFAULT_ENUM_BUDGET, SubsetDP
+from .swmax import SubsetDP
 from .valuations import EPS, Instance, full_set, iter_goods, value
 
 
@@ -31,14 +32,13 @@ def p_opt_brute(inst: Instance, p: float) -> OptResult:
     return p_opt_grid(inst, [p])[0]
 
 
-def p_opt_grid(
-    inst: Instance, ps: Sequence[float], budget: int = DEFAULT_ENUM_BUDGET
-) -> list[OptResult]:
+def p_opt_grid(inst: Instance, ps: Sequence[float], dp: SubsetDP | None = None) -> list[OptResult]:
     """Exact p-optimal allocation and welfare at each exponent in turn, with
-    one subset-DP set-up (value table and layer pairs) shared by all of them."""
+    one subset-DP set-up (value table and layer pairs) shared by all of them:
+    dp if given, else SubsetDP(inst)."""
     if not ps:  # nothing to solve: no set-up, so no budget check
         return []
-    dp = SubsetDP(inst, budget)
+    dp = dp or SubsetDP(inst)
     everything = full_set(inst.m)
     results = []
     for p in ps:

@@ -1,17 +1,19 @@
 """Social-welfare subroutine: allocations with known average-welfare quality.
 
 Both solver phases consult this module for an allocation whose average social
-welfare (the f_value) they can trust.  estimator(inst, backend, budget) answers
+welfare (the f_value) they can trust.  estimator(inst, backend, dp) answers
 for any goods bitmask and any number of agents up to n, on global bitmasks, and
-sw_estimate is its answer for the whole instance at the default budget (only
-SubsetDP and estimator take the one --budget sets).  The exact backend is the
-subset DP the oracle runs at every exponent, optimal by construction: SubsetDP
-builds the per-instance part once (value table, layer pairs) and at(p) the
-per-exponent layers, from which the best split of any goods set among any
-number of agents is rebuilt, one blocked first-best scan per agent, so one
-p = 1 pass serves every estimate of an alg run; _fold, which fills each layer,
-is the one reader of the pair index.  The greedy backend deals the goods
-round-robin in ascending index, with no demand query, no table and no guarantee.
+sw_estimate is its answer for the whole instance.  The exact backend is the
+subset DP the oracle runs at every exponent, optimal by construction.  Only
+SubsetDP takes a budget: a caller that holds one set-up hands it to estimator
+and oracle.p_opt_grid alike, and without one each builds SubsetDP(inst) at the
+default.  SubsetDP builds the per-instance part once (value table, layer
+pairs) and at(p) the per-exponent layers, from which the best split of any
+goods set among any number of agents is rebuilt, one blocked first-best scan
+per agent, so one p = 1 pass serves every estimate of an alg run; _fold, which
+fills each layer, is the one reader of the pair index.  The greedy backend
+deals the goods round-robin in ascending index, with no demand query, no table
+and no guarantee.
 """
 
 from __future__ import annotations
@@ -131,8 +133,6 @@ def _layer_pairs(m: int) -> list:
     sizes = 1 << (counts - (wholes > 0))
     starts = np.cumsum(sizes) - sizes
     total = (3**m + 1) // 2
-    if total <= _BLOCK:  # one block: the index is the block
-        return [(*_pair_block(wholes, sizes, starts, m), starts, 0, 1 << m)]
     # a block starts with the group that holds pair number i * _BLOCK
     cuts = np.unique(np.searchsorted(starts, np.arange(0, total, _BLOCK), "right") - 1).tolist()
     cuts.append(1 << m)
@@ -199,11 +199,6 @@ class SubsetDP:
 def _fold(blocks: list, own: np.ndarray, other: np.ndarray, combine) -> np.ndarray:
     """For every S, the largest own[T] combined with other[S minus T] over the
     splits of S in the index blocks of _layer_pairs, one block at a time."""
-    if len(blocks) == 1:
-        sub, rest, starts, _, _ = blocks[0]
-        cand = own[sub]
-        combine(cand, other[rest], out=cand)
-        return np.maximum.reduceat(cand, starts)
     # one block's indices, widened once, and its two gathers, reused by every block
     width = max(block[0].size for block in blocks)
     index, cand, gathered = np.empty(width, dtype=np.intp), np.empty(width), np.empty(width)
@@ -278,16 +273,17 @@ def _round_robin(goods: int, agents: int) -> tuple[int, ...]:
 
 
 def estimator(
-    inst: Instance, backend: str = EXACT, budget: int = DEFAULT_ENUM_BUDGET
+    inst: Instance, backend: str = EXACT, dp: SubsetDP | None = None
 ) -> Callable[[int, int], SwEstimate]:
     """estimate(goods, agents): the backend's allocation of a goods bitmask
     among agents <= n, as global bitmasks, and its average welfare.
 
-    exact: the optimum, from one p = 1 subset DP on the whole instance
-    (Guarantee.EXACT).  greedy: the round-robin deal (Guarantee.HEURISTIC).
+    exact: the optimum, from one p = 1 pass of the subset DP on the whole
+    instance, dp if given, else SubsetDP(inst) (Guarantee.EXACT).  greedy: the
+    round-robin deal, which ignores dp (Guarantee.HEURISTIC).
     """
     if backend == EXACT:
-        best, guarantee = SubsetDP(inst, budget).at(1.0), Guarantee.EXACT
+        best, guarantee = (dp or SubsetDP(inst)).at(1.0), Guarantee.EXACT
     elif backend == GREEDY:
         best, guarantee = _round_robin, Guarantee.HEURISTIC
     else:
@@ -303,6 +299,6 @@ def estimator(
 
 def sw_estimate(inst: Instance, backend: str = EXACT) -> SwEstimate:
     """Allocation of the whole instance plus its average social welfare, per the
-    selected backend (see estimator) at the default budget.  The greedy deal's
+    selected backend (see estimator), at the default budget.  The greedy deal's
     quality is measured against the exact backend in tests, never assumed."""
     return estimator(inst, backend)(full_set(inst.m), inst.n)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pmean import cli
+from pmean import cli, swmax
 from pmean.swmax import Guarantee
 from pmean.valuations import check_axioms, load_instance, value
 
@@ -126,13 +126,39 @@ def test_verify_reports_violations_with_exit_one(instance_file, capsys, monkeypa
 
     real = cli.p_opt_grid
 
-    def inflated(inst, ps, budget):
-        return [OptResult(r.p, r.alloc, r.welfare * 1000.0) for r in real(inst, ps, budget)]
+    def inflated(inst, ps, dp):
+        return [OptResult(r.p, r.alloc, r.welfare * 1000.0) for r in real(inst, ps, dp)]
 
     monkeypatch.setattr(cli, "p_opt_grid", inflated)
     code, out = run(capsys, "verify", "--instance", instance_file, "--p=1")
     assert code == 1
     assert json.loads(out)["table"][0]["status"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "command, backend, set_ups",
+    [("verify", "exact", 1), ("verify", "greedy", 1), ("solve", "exact", 1), ("solve", "greedy", 0),
+     ("exact", None, 1)],
+)
+def test_each_command_builds_at_most_one_engine_set_up(tmp_path, capsys, monkeypatch, command,
+                                                       backend, set_ups):
+    # verify hands alg and the oracle one SubsetDP: one value table and one
+    # pair index per run (an XOS file, so the axiom check does not run), and
+    # the greedy solve tabulates nothing
+    path = str(tmp_path / "x.json")
+    run(capsys, "gen", "--family", "xos", "--n", "3", "--m", "8", "--seed", "2", "--out", path)
+    calls = dict.fromkeys(("value_table", "_layer_pairs"), 0)
+    for name in calls:
+
+        def counted(*args, _real=getattr(swmax, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(swmax, name, counted)
+    flags = ["--sw-backend", backend] if backend else []
+    code, _ = run(capsys, command, "--instance", path, "--p=-inf,0,1", *flags)
+    assert code == 0
+    assert calls == {"value_table": set_ups, "_layer_pairs": set_ups}
 
 
 def test_greedy_solve_deals_wide_budget_additive_instances(tmp_path, capsys):
@@ -236,12 +262,18 @@ def test_budget_errors_exit_two(instance_file, capsys):
     code = cli.main(["exact", "--instance", instance_file, "--p=1", "--budget", "10"])
     assert code == 2
     assert "over budget 10" in capsys.readouterr().err
-    for bad in ("-5", "0"):
-        code = cli.main(["exact", "--instance", instance_file, "--p=1", "--budget", bad])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == f"error: --budget must be a positive integer, got {bad}\n"
+    # the greedy solve builds no set-up, so a small budget passes, but a bad
+    # one is still refused
+    greedy = ["solve", "--instance", instance_file, "--p=1", "--sw-backend", "greedy"]
+    assert cli.main([*greedy, "--budget", "10"]) == 0
+    capsys.readouterr()
+    for argv in (["exact", "--instance", instance_file, "--p=1"], greedy):
+        for bad in ("-5", "0"):
+            code = cli.main([*argv, "--budget", bad])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"error: --budget must be a positive integer, got {bad}\n"
 
 
 @pytest.mark.parametrize("backend, guarantee", [("exact", "exact"), ("greedy", "heuristic")])

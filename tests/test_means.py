@@ -70,7 +70,8 @@ def test_monotone_in_exponent():
             assert lo <= hi + 1e-9
 
 
-# straddles the band edge |p| = 1e-4, where p_mean switches formulas
+# dense near p = 0, where dividing a log-sum by p would amplify its rounding,
+# and across |p| = 1e-4, where swmax changes its scores
 EXPONENT_LADDER = [
     NEG_INF, -50.0, -4.0, -1.0, -0.3, -1e-3, -1.5e-4, -1e-4, -9.99e-5, -1e-6, 0.0,
     1e-6, 9.99e-5, 1e-4, 1.5e-4, 1e-3, 0.3, 0.7, 1.0,
@@ -86,11 +87,19 @@ EXPONENT_LADDER = [
     )
 )
 def test_p_mean_is_monotone_in_the_exponent(x):
-    # outside the band the formula divides a log by p, so near |p| = 1e-4 its
-    # rounding grows to a few 1e-12 relative
     means = [p_mean(x, p) for p in EXPONENT_LADDER]
     for i, lower in enumerate(means):
         assert all(lower <= higher * (1 + 1e-11) for higher in means[i + 1 :])
+
+
+def test_near_equal_values_keep_their_order_at_small_exponents():
+    # a log-sum-exp divided by p once put these two means in reverse order, by
+    # 6.7e-12 relative, and 3.3e-12 away from the geometric mean
+    x = [1.0696104902532623e-06, 1.0696104912343047e-06, 1.0696104885317146e-06]
+    below, at, above = (p_mean(x, p) for p in (-1e-4, 0.0, 1e-4))
+    assert below <= above
+    assert below == pytest.approx(at, rel=1e-14, abs=0)
+    assert above == pytest.approx(at, rel=1e-14, abs=0)
 
 
 def test_scale_equivariance():

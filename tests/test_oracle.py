@@ -55,7 +55,7 @@ def test_mean_welfare_is_constant_for_additive():
 
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
-        p_opt_grid(Instance(3, Additive((1.0,) * 12)), [0.0], 1000)
+        swmax.SubsetDP(Instance(3, Additive((1.0,) * 12)), 1000)
     # 4 * 3^12 + 2^12 DP cells fit the default budget (6^12 partitions would not)
     six = Instance(6, Additive(tuple(float(j + 1) for j in range(12))))
     assert p_opt_brute(six, 1.0).welfare == pytest.approx(78.0 / 6.0)

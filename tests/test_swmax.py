@@ -9,6 +9,7 @@ from pmean.swmax import (
     EXACT,
     GREEDY,
     Guarantee,
+    SubsetDP,
     enumerate_labeled_partitions,
     sw_estimate,
 )
@@ -46,9 +47,9 @@ def test_budget_guard():
     # the budget counts DP cells: (n - 2) * 3^m + 2^m
     inst = Instance(4, Additive((1.0,) * 5))
     cells = 2 * 3**5 + 2**5
-    assert len(p_opt_grid(inst, [1.0], cells)[0].alloc) == 4
+    assert len(p_opt_grid(inst, [1.0], SubsetDP(inst, cells))[0].alloc) == 4
     with pytest.raises(BudgetExceeded):
-        p_opt_grid(inst, [1.0], cells - 1)
+        SubsetDP(inst, cells - 1)
 
 
 def test_single_agent_gets_everything():
