@@ -11,14 +11,12 @@ with at least a 1/20 fraction of the estimate.
 Both phases work on goods bitmasks.  Phase one keeps the mask of the goods not
 yet handed out, and every estimate comes from one swmax.estimator on such masks
 for either backend: the exact one reads each sub-instance's optimum from a
-single p = 1 pass of the subset DP over the whole instance, on the set-up the
-caller hands alg or on one built at the default budget; the greedy one deals
-the goods left round-robin, and neither restricts the valuation.  Phase two
-re-cuts the estimate that stopped phase one instead of computing it again,
-taking each source bundle's lowest good with s & -s.  A closed phase-two
-bundle stopped short of f/3 only because its next good, worth under f/3.53,
-would have lifted it there, so by subadditivity it is worth at least
-f * (1/3 - 1/3.53) >= f/20.
+single p = 1 subset DP over the whole instance, the greedy one deals the goods
+left round-robin, and neither restricts the valuation.  Phase two re-cuts the
+estimate that stopped phase one instead of computing it again, taking each
+source bundle's lowest good with s & -s.  A closed phase-two bundle stopped
+short of f/3 only because its next good, worth under f/3.53, would have lifted
+it there, so by subadditivity it is worth at least f * (1/3 - 1/3.53) >= f/20.
 
 The paper proves its factor of 40 for the fixed constants 3.53, 11.33, 20 and
 40, not for a family of settings, so they are module constants below and
@@ -63,9 +61,8 @@ def alg(
 ) -> tuple[tuple[int, ...], AlgTrace]:
     """Run both phases and return a complete n-bundle allocation plus its trace.
 
-    The exact backend estimates from the subset-DP set-up dp if one is given
-    (a caller that also runs the oracle builds one and shares it), else from
-    SubsetDP(inst) at the default budget; see swmax.estimator.
+    The exact backend estimates from the subset-DP set-up dp, which a caller
+    may share with the oracle, or else from SubsetDP(inst) (swmax.estimator).
 
     The singleton loop additionally stops when only one agent is left (that
     agent then receives everything still unassigned, which can only help every

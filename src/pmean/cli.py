@@ -6,12 +6,10 @@ size or budget errors, malformed, unreadable or unparsable instance files, and
 explicit tables of up to 12 goods that fail an axiom.  The exact
 engine's budget defaults to 10^7 subset-DP cells, (n - 2) * 3^m + 2^m for n
 bundles of m goods, and --budget overrides it per run.
-Each command that runs the exact engine builds one swmax.SubsetDP under that
-budget, its value table and layer pairs, and shares it: `verify` hands the
-same set-up to alg and to the oracle, `exact` and `hardness-demo` to the
-oracle across all requested exponents, and `solve` builds one only for the
-exact backend.  The axiom check of an explicit table of up to 12 goods runs
-before that and keeps its own table and pair index.
+Each command builds at most one swmax.SubsetDP (value table and layer pairs)
+under that budget: `verify` shares it between alg and the oracle, `exact` and
+`hardness-demo` across all exponents, and `solve` builds one only for the
+exact backend.  The axiom check of explicit tables keeps its own.
 
 Instances are generated with NumPy's PCG64 generator (np.random.default_rng
 seeded with the documented 64-bit seed), so a (family, n, m, seed) tuple always
@@ -179,8 +177,7 @@ def _solve_report(inst: Instance, ps, backend: str, dp: SubsetDP | None) -> dict
 
 def _cmd_solve(args) -> int:
     inst = _load_model_instance(args.instance)
-    ps = _parse_p_list(args.p)
-    budget = _resolve_budget(args.budget)
+    ps, budget = _parse_p_list(args.p), _resolve_budget(args.budget)
     dp = SubsetDP(inst, budget) if args.sw_backend == EXACT else None  # greedy tabulates nothing
     report = _solve_report(inst, ps, args.sw_backend, dp)
     report["command"] = "solve"

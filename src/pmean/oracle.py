@@ -1,7 +1,7 @@
 """Ground truth: exact p-optimal allocations and the checks built on them.
 
 Optima come from swmax.SubsetDP, the subset DP behind the exact welfare
-subroutine, with its work capped by a budget of cells rather than sampled;
+subroutine, with its work capped by an explicit budget rather than sampled;
 the tests check it against a pure-Python scan of every labeled partition.
 p_opt_brute answers one exponent; p_opt_grid answers many from one set-up,
 the value table and the layer pairs, and computes only the layers per
@@ -34,8 +34,7 @@ def p_opt_brute(inst: Instance, p: float) -> OptResult:
 
 def p_opt_grid(inst: Instance, ps: Sequence[float], dp: SubsetDP | None = None) -> list[OptResult]:
     """Exact p-optimal allocation and welfare at each exponent in turn, with
-    one subset-DP set-up (value table and layer pairs) shared by all of them:
-    dp if given, else SubsetDP(inst)."""
+    one subset-DP set-up shared by all of them: dp, or else SubsetDP(inst)."""
     if not ps:  # nothing to solve: no set-up, so no budget check
         return []
     dp = dp or SubsetDP(inst)

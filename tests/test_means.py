@@ -87,9 +87,11 @@ EXPONENT_LADDER = [
     )
 )
 def test_p_mean_is_monotone_in_the_exponent(x):
+    # the centred form's inversions stay near 1e-15; a log-sum divided by p
+    # near |p| = 1e-4 reached several 1e-12 and fails this bound
     means = [p_mean(x, p) for p in EXPONENT_LADDER]
     for i, lower in enumerate(means):
-        assert all(lower <= higher * (1 + 1e-11) for higher in means[i + 1 :])
+        assert all(lower <= higher * (1 + 1e-13) for higher in means[i + 1 :])
 
 
 def test_near_equal_values_keep_their_order_at_small_exponents():
