@@ -1,21 +1,20 @@
-"""Numeric verification of the inequalities that make the constants work.
+"""Interval certificate of the inequalities that make the constants work.
 
-The solver's threshold constants are tied together by the sign behaviour of
-
-    f(p) = a^p + b^p - 1 - c^p,   a = 1/2 - 1/40,  b = 1/2,  c = 2/11.33
-
-with 40, 11.33 and 7.06 = 2 * 3.53 read from allocator's module constants: f
-vanishes at 0, stays nonpositive for negative p, nonnegative up to its unique
-positive root r in (0.4, 0.41), and the upper exponent range [0.4, 1] is
-covered by the doubling inequalities 2 * 7.06^p <= 40^p and 40^p > 2.  These
-facts are proved analytically; this module checks them on dense grids whose
-steps are fixed below, except the negative grid's step, which check-ineq's
---grid-step sets down to NEG_STEP_MIN.
+With a = 1/2 - 1/40, b = 1/2 and c = 2/11.33 (40, 11.33 and 7.06 = 2 * 3.53
+are allocator's module constants), f(p) = a^p + b^p - 1 - c^p must be negative
+for p < 0 and positive on (0, 0.4], and 2 * 7.06^p <= 40^p and 40^p > 2 must
+hold on [0.4, 1].  certify() proves this on all of p <= 1.  As 0 < c < a < b
+< 1, the ends of a piece bound f on it, and [TAIL, -BAND] and [BAND, 0.4] are
+bisected until every bound has the wanted sign.  Below TAIL,
+f = c^p ((a/c)^p + (b/c)^p - 1) - 1.  On [-BAND, BAND], f(0) = 0 and f' > 0.
+On [0.4, 1], both inequalities are linear in p after taking logs.  A margin
+must exceed REL_SLACK times the sum of its terms' magnitudes: rounding room
+that stays relative where c^p reaches 10^45.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .allocator import APPROX_FACTOR, COMBINED_DIVISOR, HIGH_BUNDLE_FACTOR, SPLIT_EXPONENT
 from .errors import BracketInvalid
@@ -24,69 +23,104 @@ A = 0.5 - 1.0 / APPROX_FACTOR
 B = 0.5
 C = 2.0 / HIGH_BUNDLE_FACTOR
 
-SIGN_TOL = 1e-12
-NEG_GRID_LO = -50.0  # the negative grid covers [-50, 0)
-NEG_STEP_MIN = 1e-4  # its finest step: 500,000 points
-POS_STEP = 0.001  # the grid on (0, 0.4]
-UPPER_STEP = 0.001  # the grid on [0.4, 1]
+TAIL = -60.0  # below it f's sign follows from the closed form above
+BAND = 0.05  # on [-BAND, BAND] it follows from f(0) = 0 and f' > 0
+REL_SLACK = 1e-12
+MIN_WIDTH = 1e-9  # bisection gives up on a piece this narrow
 ROOT_BRACKET_HI = 0.41  # f's positive root lies in (0.4, 0.41)
-PAIR_SAMPLES = 64  # (x, y) pairs spot-checking (x + y)^p <= x^p + y^p, seed 0
 ROOT_TOL = 1e-14
 ROOT_MAX_ITER = 200
 
 
-def f(p: float | np.ndarray) -> float | np.ndarray:
-    """a^p + b^p - 1 - c^p in double precision, elementwise on an array."""
+def f(p: float) -> float:
+    """a^p + b^p - 1 - c^p in double precision, elementwise on a NumPy array."""
     return A**p + B**p - 1.0 - C**p
 
 
-def neg_step_fault(step: float) -> str | None:
-    """Why step cannot be the negative grid's step, or None if it can: it must
-    be finite and in [NEG_STEP_MIN, 50]."""
-    if not 0.0 < step <= -NEG_GRID_LO:  # nan fails this test too
-        return f"must be finite and in (0, {-NEG_GRID_LO:g}], got {step}"
-    if step < NEG_STEP_MIN:
-        points = round(-NEG_GRID_LO / NEG_STEP_MIN)
-        return f"must be at least {NEG_STEP_MIN:g} ({points:,} points), got {step}"
-    return None
+def _certified(margin: float, magnitude: float) -> bool:
+    return margin > REL_SLACK * magnitude
 
 
-def check_sign_ranges(neg_step: float = 0.01) -> dict:
-    """Grid-check f <= 0 on [-50, 0) at neg_step and f >= 0 on (0, 0.4] at
-    POS_STEP.
+def _piece_bound(lo: float, hi: float, sign: int) -> tuple[float, float]:
+    """A lower bound of sign * f on [lo, hi] and the sum of its terms'
+    magnitudes: a^p + b^p is extreme at one end and c^p at the other."""
+    near, far = (hi, lo) if sign > 0 else (lo, hi)
+    ab, cp = A**near + B**near, C**far
+    return sign * (ab - 1.0 - cp), ab + 1.0 + cp
 
-    Violations beyond SIGN_TOL are collected rather than raised; the report
-    carries the extreme values observed on each grid.
-    """
-    fault = neg_step_fault(neg_step)
-    if fault:
-        raise ValueError(f"neg_step {fault}")
-    neg = NEG_GRID_LO + neg_step * np.arange(int(round(-NEG_GRID_LO / neg_step)))
-    neg = neg[neg < 0.0]
-    pos = POS_STEP * np.arange(1, int(round(SPLIT_EXPONENT / POS_STEP)) + 1)
 
-    f_neg = f(neg)
-    f_pos = f(pos)
-    neg_ok = bool(np.all(f_neg <= SIGN_TOL))
-    pos_ok = bool(np.all(f_pos >= -SIGN_TOL))
-    worst = max(float(np.max(f_neg, initial=0.0)), float(np.max(-f_pos, initial=0.0)), 0.0)
+def _bisect(lo: float, hi: float, sign: int) -> dict:
+    """Certify sign * f > 0 on [lo, hi], piece by piece from the left; stop at
+    the first piece that is still uncertified at MIN_WIDTH and name it."""
+    margins, failed, stack = [], None, [(lo, hi)]  # (margin, relative margin) per piece
+    while stack and not failed:
+        left, right = stack.pop()
+        margin, magnitude = _piece_bound(left, right, sign)
+        if _certified(margin, magnitude):
+            margins.append((margin, margin / magnitude))
+        elif right - left > MIN_WIDTH:
+            mid = 0.5 * (left + right)
+            stack += [(mid, right), (left, mid)]
+        else:
+            failed = [left, right]
     return {
-        "negative_range": {
-            "lo": NEG_GRID_LO,
-            "step": neg_step,
-            "points": int(neg.size),
-            "ok": neg_ok,
-            "max_f": float(np.max(f_neg)),
-        },
-        "positive_range": {
-            "hi": SPLIT_EXPONENT,
-            "step": POS_STEP,
-            "points": int(pos.size),
-            "ok": pos_ok,
-            "min_f": float(np.min(f_pos)),
-        },
-        "ok": neg_ok and pos_ok,
-        "worst_violation": worst,
+        "lo": lo, "hi": hi, "pieces": len(margins),
+        "min_margin": min((m for m, _ in margins), default=None),
+        "min_rel_margin": min((r for _, r in margins), default=None),
+        "failed_piece": failed, "ok": failed is None,
+    }
+
+
+def _tail() -> dict:
+    ratio_sum = (A / C) ** TAIL + (B / C) ** TAIL
+    return {"hi": TAIL, "ratio_sum": ratio_sum, "ok": _certified(1.0 - ratio_sum, 1.0 + ratio_sum)}
+
+
+def _band() -> dict:
+    # a^p ln a and b^p ln b rise with p, -c^p ln c falls
+    terms = (A**-BAND * math.log(A), B**-BAND * math.log(B), -(C**BAND) * math.log(C))
+    slope = math.fsum(terms)
+    ok = f(0.0) == 0.0 and _certified(slope, sum(map(abs, terms)))
+    return {"lo": -BAND, "hi": BAND, "min_slope": slope, "ok": ok}
+
+
+def _upper_range() -> dict:
+    doubling_from = math.log(2.0) / math.log(APPROX_FACTOR / COMBINED_DIVISOR)
+    above_two_from = math.log(2.0) / math.log(APPROX_FACTOR)
+    doubling_ok = _certified(SPLIT_EXPONENT - doubling_from, SPLIT_EXPONENT)
+    above_two_ok = _certified(SPLIT_EXPONENT - above_two_from, SPLIT_EXPONENT)
+    return {
+        "lo": SPLIT_EXPONENT,
+        "hi": 1.0,
+        "doubling_from": doubling_from,
+        "above_two_from": above_two_from,
+        "min_margin": SPLIT_EXPONENT - max(doubling_from, above_two_from),
+        "doubling_ok": doubling_ok,
+        "above_two_ok": above_two_ok,
+        "ok": doubling_ok and above_two_ok,
+    }
+
+
+def certify() -> dict:
+    """Prove f < 0 on (-inf, 0), f > 0 on (0, 0.4] and both doubling
+    inequalities on [0.4, 1], and locate f's root in (0.4, 0.41) once
+    that holds.
+
+    A part that cannot be proved makes the report's ok False; nothing raises.
+    """
+    parts = {
+        "tail": _tail(),
+        "band": _band(),
+        "negative_range": _bisect(TAIL, -BAND, -1),
+        "positive_range": _bisect(BAND, SPLIT_EXPONENT, 1),
+        "upper_range": _upper_range(),
+    }
+    ok = 0.0 < C < A < B < 1.0 and all(part["ok"] for part in parts.values())
+    return {
+        "constants": {"a": A, "b": B, "c": C},
+        **parts,
+        "root": locate_root() if ok else None,
+        "ok": ok,
     }
 
 
@@ -110,29 +144,3 @@ def locate_root() -> float:
         else:
             hi = mid
     raise BracketInvalid(f"bisection did not reach |f| < {ROOT_TOL} in {ROOT_MAX_ITER} steps")
-
-
-def check_upper_range_constants() -> dict:
-    """Grid-check the exponent range [0.4, 1] at UPPER_STEP: 2 * 7.06^p <= 40^p
-    and 40^p > 2, plus spot checks of (x + y)^p <= x^p + y^p on PAIR_SAMPLES
-    seeded nonnegative pairs."""
-    steps = int(round((1.0 - SPLIT_EXPONENT) / UPPER_STEP))
-    grid = SPLIT_EXPONENT + UPPER_STEP * np.arange(steps + 1)
-
-    doubling_ok = bool(np.all(2.0 * COMBINED_DIVISOR**grid <= APPROX_FACTOR**grid))
-    above_two_ok = bool(np.all(APPROX_FACTOR**grid > 2.0))
-
-    rng = np.random.default_rng(0)
-    xs = rng.uniform(0.0, 10.0, PAIR_SAMPLES)
-    ys = rng.uniform(0.0, 10.0, PAIR_SAMPLES)
-    power_ok = all(np.all((xs + ys) ** p <= xs**p + ys**p + SIGN_TOL) for p in grid)
-
-    margin = float(np.min(APPROX_FACTOR**grid - 2.0 * COMBINED_DIVISOR**grid))
-    return {
-        "grid": {"lo": SPLIT_EXPONENT, "hi": 1.0, "step": UPPER_STEP, "points": int(grid.size)},
-        "doubling_ok": doubling_ok,
-        "above_two_ok": above_two_ok,
-        "power_subadditive_ok": power_ok,
-        "min_margin": margin,
-        "ok": doubling_ok and above_two_ok and power_ok,
-    }

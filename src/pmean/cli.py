@@ -1,9 +1,11 @@
 """Command-line front end: instance generation, solving, exact verification,
-inequality checks and hardness demos as reproducible file-driven runs.
+the certificate of the constants' inequalities and hardness demos as
+reproducible file-driven runs.
 
-Exit codes: 0 success / all checks passed, 1 a ratio check failed, 2 usage,
-size or budget errors, malformed, unreadable or unparsable instance files, and
-explicit tables of up to 12 goods that fail an axiom.  The exact
+Exit codes: 0 success / all checks passed, 1 a ratio check, a gap check or the
+certificate failed, 2 usage, size or budget errors, malformed, unreadable,
+unparsable or unwritable instance files, and explicit tables of up to 12 goods
+that fail an axiom.  The exact
 engine's budget defaults to 10^7 subset-DP cells, (n - 2) * 3^m + 2^m for n
 bundles of m goods, and --budget overrides it per run.
 Each command builds at most one swmax.SubsetDP (value table and layer pairs)
@@ -29,7 +31,7 @@ import time
 import numpy as np
 
 from . import analysis, hardness
-from .allocator import APPROX_FACTOR, SPLIT_EXPONENT, alg
+from .allocator import APPROX_FACTOR, alg
 from .errors import PmeanError
 from .means import bundle_values, p_mean_welfare, parse_exponent
 from .oracle import p_opt_grid
@@ -251,24 +253,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_ineq(args) -> int:
-    fault = analysis.neg_step_fault(args.grid_step)
-    if fault:
-        raise PmeanError(f"--grid-step {fault}")
-    ranges = analysis.check_sign_ranges(args.grid_step)
-    upper = analysis.check_upper_range_constants()
-    root = analysis.locate_root()
-    ok = ranges["ok"] and upper["ok"] and SPLIT_EXPONENT < root < analysis.ROOT_BRACKET_HI
-    report = {
-        "command": "check-ineq",
-        "constants": {"a": analysis.A, "b": analysis.B, "c": analysis.C},
-        "ranges": ranges,
-        "upper_range": upper,
-        "root": root,
-        "worst_violation": ranges["worst_violation"],
-        "ok": ok,
-    }
+    report = {"command": "check-ineq", **analysis.certify()}
     print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if ok else 1
+    return 0 if report["ok"] else 1
 
 
 def _cmd_hardness_demo(args) -> int:
@@ -357,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags(verify)
     verify.set_defaults(func=_cmd_verify)
 
-    ineq = sub.add_parser("check-ineq", help="verify the constant inequalities on dense grids")
-    ineq.add_argument("--grid-step", type=float, default=0.01)
+    ineq = sub.add_parser("check-ineq", help="certify the constant inequalities on all of p <= 1")
     ineq.set_defaults(func=_cmd_check_ineq)
 
     demo = sub.add_parser("hardness-demo", help="generate a matching gadget and verify its gap side")

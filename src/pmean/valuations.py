@@ -392,7 +392,11 @@ def instance_from_dict(data: dict) -> Instance:
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write instance file {path}: {exc.strerror}") from None
 
 
 def load_instance(path: str | Path) -> Instance:

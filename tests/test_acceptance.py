@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from pmean.allocator import PHASE1_DIVISOR, alg, alg_low
-from pmean.analysis import check_sign_ranges, check_upper_range_constants, f, locate_root
+from pmean.analysis import certify, f, locate_root
 from pmean.cli import generate_instance
 from pmean.errors import PreconditionViolated
 from pmean.hardness import (
@@ -214,22 +214,27 @@ def test_criterion_3_inequality_suite():
         "f(0.4) > 0": f(0.4) > 0.0,
         "f(0.41) < 0": f(0.41) < 0.0,
     }
-    ranges = check_sign_ranges()
-    upper = check_upper_range_constants()
-    # the grids are fixed in analysis; pin them through the report
-    checks["grids (-50, 0.01, 0.001, 0.001)"] = (
-        ranges["negative_range"]["lo"],
-        ranges["negative_range"]["step"],
-        ranges["positive_range"]["step"],
-        upper["grid"]["step"],
-    ) == (-50.0, 0.01, 0.001, 0.001)
-    checks["f <= 1e-12 on [-50, 0) step 0.01"] = ranges["negative_range"]["ok"]
-    checks["f >= -1e-12 on (0, 0.4] step 0.001"] = ranges["positive_range"]["ok"]
+    cert = certify()
+    checks["certified f < 0 on (-inf, 0)"] = all(
+        cert[part]["ok"] for part in ("tail", "band", "negative_range")
+    )
+    checks["certified f > 0 on (0, 0.4]"] = cert["band"]["ok"] and cert["positive_range"]["ok"]
+    checks["certificate ok"] = cert["ok"]
+    # f itself on the former grids, independent of the certificate
+    neg = -50.0 + 0.01 * np.arange(5000)
+    pos = 0.001 * np.arange(1, 401)
+    upper = 0.4 + 0.001 * np.arange(601)
+    checks["f <= 1e-12 on [-50, 0) step 0.01"] = bool(np.all(f(neg[neg < 0.0]) <= 1e-12))
+    checks["f >= -1e-12 on (0, 0.4] step 0.001"] = bool(np.all(f(pos) >= -1e-12))
     root = locate_root()
-    checks["root in (0.4, 0.41)"] = 0.4 < root < 0.41
+    checks["root in (0.4, 0.41)"] = 0.4 < root < 0.41 and cert["root"] == root
     checks["|f(root)| < 1e-12"] = abs(f(root)) < 1e-12
-    checks["2*7.06^p <= 40^p on [0.4, 1]"] = upper["doubling_ok"]
-    checks["40^p > 2 on [0.4, 1]"] = upper["above_two_ok"]
+    checks["2*7.06^p <= 40^p on [0.4, 1]"] = cert["upper_range"]["doubling_ok"] and bool(
+        np.all(2.0 * 7.06**upper <= 40.0**upper)
+    )
+    checks["40^p > 2 on [0.4, 1]"] = cert["upper_range"]["above_two_ok"] and bool(
+        np.all(40.0**upper > 2.0)
+    )
     elapsed = time.time() - start
     checks["runtime < 1s"] = elapsed < 1.0
     bad = [name for name, ok in checks.items() if not ok]

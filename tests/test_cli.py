@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pmean import cli, swmax
+from pmean import analysis, cli, swmax
 from pmean.swmax import Guarantee
 from pmean.valuations import check_axioms, load_instance, value
 
@@ -303,18 +303,56 @@ def test_check_ineq_report(capsys):
     report = json.loads(out)
     assert report["ok"]
     assert 0.4 < report["root"] < 0.41
-    assert report["worst_violation"] == 0.0
+    parts = ("tail", "band", "negative_range", "positive_range", "upper_range")
+    assert all(report[part]["ok"] for part in parts)
+    assert report["positive_range"]["min_margin"] > 0.0
+    with pytest.raises(SystemExit) as exc:  # the sampling grid and its step are gone
+        cli.main(["check-ineq", "--grid-step", "0.01"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid-step 0.01" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("step", ["nan", "100", "inf", "0", "-0.01", "1e-9"])
-def test_check_ineq_rejects_a_bad_grid_step(capsys, step):
-    # 1e-9 would ask for a grid of 5 * 10^10 points, about 400 GB
-    code = cli.main(["check-ineq", "--grid-step", step])
+@pytest.mark.parametrize(
+    "constant, value, failing",
+    [
+        # f'(0) = ln(ab/c) turns negative, so f > 0 just below 0 and < 0 just above
+        ("C", 2.0 / 8.0, {"band", "negative_range", "positive_range"}),
+        # 2 * 8^p <= 40^p only from p = ln 2 / ln 5 = 0.4307 up
+        ("COMBINED_DIVISOR", 8.0, {"upper_range"}),
+    ],
+    ids=["c", "combined-divisor"],
+)
+def test_check_ineq_fails_on_wrong_constants(capsys, monkeypatch, constant, value, failing):
+    monkeypatch.setattr(analysis, constant, value)
+    code, out = run(capsys, "check-ineq")
+    assert code == 1
+    report = json.loads(out)
+    assert not report["ok"] and report["root"] is None
+    parts = {"tail", "band", "negative_range", "positive_range", "upper_range"}
+    assert {part for part in parts if not report[part]["ok"]} == failing
+    for name in failing & {"negative_range", "positive_range"}:
+        lo, hi = report[name]["failed_piece"]
+        assert report[name]["lo"] <= lo < hi <= report[name]["hi"] and hi - lo <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--family", "additive", "--n", "2", "--m", "3"],
+     ["hardness-demo", "--q", "2", "--mode", "yes"]],
+    ids=["gen", "hardness-demo"],
+)
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/x.json", "No such file or directory"), ("", "Is a directory")],
+    ids=["missing-dir", "directory"],
+)
+def test_unwritable_out_exits_two_with_one_line(tmp_path, capsys, argv, target, reason):
+    path = tmp_path / target
+    code = cli.main([*argv, "--out", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    rule = "at least 0.0001 (500,000 points)" if step == "1e-9" else "finite and in (0, 50]"
-    assert captured.err == f"error: --grid-step must be {rule}, got {float(step)}\n"
+    assert captured.err == f"error: cannot write instance file {path}: {reason}\n"
 
 
 def test_hardness_demo_yes(tmp_path, capsys):
