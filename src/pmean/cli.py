@@ -58,26 +58,20 @@ FAMILIES = ("additive", "budget_additive", "xos", "explicit")
 
 WEIGHT_SCALE = 100.0
 WEIGHT_GRID = 6  # weights are rounded to a 1e-6 grid for reproducible files
+CLAUSES = 3  # clauses of an xos draw, and of the draw an explicit table tabulates
 
 
 def _draw_weights(rng: np.random.Generator, m: int) -> tuple[float, ...]:
     return tuple(round(float(u) * WEIGHT_SCALE, WEIGHT_GRID) for u in rng.uniform(size=m))
 
 
-def generate_instance(
-    family: str,
-    n: int,
-    m: int,
-    seed: int,
-    cap: float | None = None,
-    clauses: int = 3,
-) -> Instance:
+def generate_instance(family: str, n: int, m: int, seed: int) -> Instance:
     """Deterministic random instance of the requested family.
 
     Weights are uniform on [0, 1], scaled by 100 and rounded to the 1e-6 grid.
-    budget_additive caps at half the total weight unless a cap is given;
-    explicit tables are tabulated from a max-of-additive draw, which keeps them
-    normalized, monotone and subadditive.
+    budget_additive caps at half the total weight, on the same grid; xos draws
+    CLAUSES weight vectors, and explicit tables tabulate such a max-of-additive
+    draw, which keeps them normalized, monotone and subadditive.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -88,10 +82,8 @@ def generate_instance(
         return Instance(n, Additive(_draw_weights(rng, m)))
     if family == "budget_additive":
         weights = _draw_weights(rng, m)
-        if cap is None:
-            cap = round(0.5 * math.fsum(weights), WEIGHT_GRID)
-        return Instance(n, BudgetAdditive(weights, cap))
-    clause_rows = tuple(_draw_weights(rng, m) for _ in range(clauses))
+        return Instance(n, BudgetAdditive(weights, round(0.5 * math.fsum(weights), WEIGHT_GRID)))
+    clause_rows = tuple(_draw_weights(rng, m) for _ in range(CLAUSES))
     if family == "xos":
         return Instance(n, Xos(clause_rows))
     if m > EXPLICIT_MAX_GOODS:
@@ -134,7 +126,7 @@ def _bundles_as_lists(bundles) -> list[list[int]]:
 
 
 def _cmd_gen(args) -> int:
-    inst = generate_instance(args.family, args.n, args.m, args.seed, args.cap, args.clauses)
+    inst = generate_instance(args.family, args.n, args.m, args.seed)
     save_instance(inst, args.out)
     print(f"wrote {args.family} instance (n={inst.n}, m={inst.m}) to {args.out}")
     return 0
@@ -254,56 +246,28 @@ def _cmd_verify(args) -> int:
 
 def _cmd_check_ineq(args) -> int:
     report = {"command": "check-ineq", **analysis.certify()}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _emit(report, "json")
     return 0 if report["ok"] else 1
 
 
 def _cmd_hardness_demo(args) -> int:
+    yes, edges = args.mode == "yes", hardness.MATCHING_MAX_EDGES
+    largest = edges // 2 if yes else edges - 1  # a yes gadget has 2q edges, a no gadget q + 1
+    if args.q > largest:  # refused before the gadget is drawn
+        raise PmeanError(f"--q {args.q} is too large: --mode {args.mode} checks q <= {largest}, "
+                         f"as the matching search stops at {edges} edges")
     ps = _parse_p_list(args.p)
     budget = _resolve_budget(args.budget)
-    if args.mode == "yes":
-        gadget = hardness.generate_yes_instance(args.q, args.seed)
-    else:
-        if args.q < 2:
-            raise PmeanError("no-side gadgets need q >= 2 (one edge is already a perfect matching)")
-        gadget = hardness.generate_no_instance(args.q, args.seed)
-    inst = hardness.reduce(gadget)
+    draw = hardness.generate_yes_instance if yes else hardness.generate_no_instance
+    gadget = draw(args.q, args.seed)
     if args.out:
-        save_instance(inst, args.out)
-
-    matching = hardness.max_matching_brute(gadget)
-    opts = [opt.welfare for opt in p_opt_grid(inst, [p for _, p in ps], SubsetDP(inst, budget))]
-    table = []
-    ok = True
-    if args.mode == "yes":
-        expected_perfect = len(matching) == gadget.q
-        ok &= expected_perfect
-        for (token, _), opt in zip(ps, opts):
-            row_ok = abs(opt - 3.0) <= EPS
-            ok &= row_ok
-            table.append({"p": token, "opt_welfare": opt, "ok": row_ok})
-        summary = {"perfect_matching": expected_perfect}
-    else:
-        alpha = len(matching) / gadget.q
-        bound = 2.0 + alpha
-        for (token, _), opt in zip(ps, opts):
-            row_ok = opt <= bound + EPS
-            ok &= row_ok
-            table.append({"p": token, "opt_welfare": opt, "bound": bound, "ok": row_ok})
-        summary = {"alpha": alpha}
-    report = {
-        "command": "hardness-demo",
-        "mode": args.mode,
-        "q": gadget.q,
-        "hyperedges": [list(e) for e in gadget.hyperedges],
-        "max_matching_size": len(matching),
-        **summary,
-        "table": table,
-        "instance_file": args.out,
-        "ok": ok,
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if ok else 1
+        save_instance(hardness.reduce(gadget), args.out)
+    gap = hardness.check_gap(gadget, [p for _, p in ps], budget)
+    for row, (token, _) in zip(gap["table"], ps):
+        row["p"] = token
+    _emit({"command": "hardness-demo", "mode": args.mode, "q": gadget.q, **gap,
+           "hyperedges": [list(e) for e in gadget.hyperedges], "instance_file": args.out}, "json")
+    return 0 if gap["ok"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--cap", type=float, default=None, help="budget_additive cap")
-    gen.add_argument("--clauses", type=int, default=3, help="xos/explicit clause count")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import NotPerfect, SizeLimitExceeded
 from .oracle import p_opt_grid
+from .swmax import DEFAULT_ENUM_BUDGET, SubsetDP
 from .valuations import EPS, Instance, Xos, mask_of
 
 MATCHING_MAX_EDGES = 20
@@ -81,17 +82,26 @@ def max_matching_brute(g: Gap3dmInstance) -> tuple[int, ...]:
                 return combo
 
 
-def verify_no_side(g: Gap3dmInstance, alpha: float, p_grid: Sequence[float]) -> bool:
-    """If the best matching has at most alpha*q edges, confirm by brute force
-    that no grid exponent admits welfare above 2 + alpha.  Vacuously true when
-    the matching premise fails."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if len(max_matching_brute(g)) > alpha * g.q + EPS:
-        return True
+def check_gap(g: Gap3dmInstance, ps: Sequence[float], budget: int = DEFAULT_ENUM_BUDGET) -> dict:
+    """The reduction's claim at each exponent, by the exact oracle: optimum 3 if
+    g's maximum matching is perfect (summary perfect_matching), else at most
+    bound = 2 + alpha for a matching of alpha*q edges (summary alpha).  Returns
+    max_matching_size, the summary, table (p, opt_welfare, [bound,] ok) and ok."""
     inst = reduce(g)
-    bound = 2.0 + alpha + EPS
-    return all(opt.welfare <= bound for opt in p_opt_grid(inst, p_grid))
+    dp = SubsetDP(inst, budget)  # the budget check first: it refuses before any search
+    size = len(max_matching_brute(g))
+    opts = p_opt_grid(inst, ps, dp)
+    if size == g.q:
+        summary = {"perfect_matching": True}
+        table = [{"p": o.p, "opt_welfare": o.welfare, "ok": abs(o.welfare - 3.0) <= EPS}
+                 for o in opts]
+    else:
+        summary = {"alpha": size / g.q}
+        bound = 2.0 + summary["alpha"]
+        table = [{"p": o.p, "opt_welfare": o.welfare, "bound": bound,
+                  "ok": o.welfare <= bound + EPS} for o in opts]
+    return {"max_matching_size": size, **summary, "table": table,
+            "ok": all(row["ok"] for row in table)}
 
 
 def generate_yes_instance(q: int, seed: int = 0) -> Gap3dmInstance:

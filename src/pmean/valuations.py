@@ -29,6 +29,7 @@ AXIOM_SCAN_MAX_GOODS = 12
 TABLE_MAX_GOODS = 24
 EXPLICIT_MAX_GOODS = 16
 BITMASK_MAX_GOODS = 63
+MAX_AGENTS = 1 << 16  # every consumer sizes per-agent arrays, so a file cannot ask for 2^40
 
 
 def full_set(m: int) -> int:
@@ -90,9 +91,7 @@ class BudgetAdditive:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _check_weights(self.weights))
-        object.__setattr__(self, "cap", float(self.cap))
-        if not 0.0 <= self.cap < math.inf:
-            raise ValueError("cap must be finite and nonnegative")
+        object.__setattr__(self, "cap", _check_weights((self.cap,), "cap")[0])
 
     @property
     def m(self) -> int:
@@ -129,17 +128,14 @@ class ExplicitTable:
     table: tuple[float, ...]
 
     def __post_init__(self):
-        table = tuple(map(float, self.table))
-        size = len(table)
+        size = len(self.table)
         if size == 0 or size & (size - 1):
             raise ValueError("table length must be a power of two")
         if size > (1 << EXPLICIT_MAX_GOODS):
             raise SizeLimitExceeded(
                 f"explicit tables support at most {EXPLICIT_MAX_GOODS} goods"
             )
-        if any(not 0.0 <= x < math.inf for x in table):
-            raise ValueError("table values must be finite and nonnegative")
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", _check_weights(self.table, "table values"))
 
     @property
     def m(self) -> int:
@@ -159,6 +155,8 @@ class Instance:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one agent")
+        if self.n > MAX_AGENTS:
+            raise SizeLimitExceeded(f"at most {MAX_AGENTS} agents supported, got n = {self.n}")
         if self.valuation.m > BITMASK_MAX_GOODS:
             raise SizeLimitExceeded(f"at most {BITMASK_MAX_GOODS} goods supported")
 
@@ -194,27 +192,32 @@ def _subset_sums(vec: Sequence[float]) -> np.ndarray:
     return sums
 
 
+def _clauses(v: Valuation) -> tuple[tuple[float, ...], ...] | None:
+    """The additive clauses whose maximum is v (one for Additive), or None."""
+    if isinstance(v, Additive):
+        return (v.weights,)
+    return v.clauses if isinstance(v, Xos) else None
+
+
 def value_table(v: Valuation) -> np.ndarray:
     """Dense table of v over all 2^m subsets (requires small m)."""
     if v.m > TABLE_MAX_GOODS:
         raise SizeLimitExceeded(f"cannot tabulate {v.m} goods")
-    if isinstance(v, Additive):
-        return _subset_sums(v.weights)
-    if isinstance(v, BudgetAdditive):
-        return np.minimum(v.cap, _subset_sums(v.weights))
-    if isinstance(v, Xos):
-        table = _subset_sums(v.clauses[0])
-        for clause in v.clauses[1:]:
+    if clauses := _clauses(v):
+        table = _subset_sums(clauses[0])
+        for clause in clauses[1:]:
             np.maximum(table, _subset_sums(clause), out=table)
         return table
+    if isinstance(v, BudgetAdditive):
+        return np.minimum(v.cap, _subset_sums(v.weights))
     return np.asarray(v.table, dtype=float)
 
 
 def demand(v: Valuation, prices: Sequence[float]) -> tuple[int, float]:
     """Demand query: a subset S maximizing v(S) - sum of prices over S, and that utility.
 
-    Prices may be negative.  Additive valuations take every good with weight >=
-    price; XOS valuations solve each clause that way and return the best
+    Prices may be negative.  XOS valuations, additive ones as one clause, take
+    every good with weight >= price in each clause and return the first best
     clause's set.  BudgetAdditive and ExplicitTable fall back to exhaustive
     subset search (caps of 24 and 16 goods), breaking utility ties toward the
     larger bitmask so that an all-zero price vector yields the full set.
@@ -223,13 +226,9 @@ def demand(v: Valuation, prices: Sequence[float]) -> tuple[int, float]:
     if len(prices) != v.m:
         raise ValueError(f"expected {v.m} prices, got {len(prices)}")
 
-    if isinstance(v, Additive):
-        subset = mask_of(j for j, w in enumerate(v.weights) if w >= prices[j])
-        return subset, _mask_sum(v.weights, subset) - _mask_sum(prices, subset)
-
-    if isinstance(v, Xos):
+    if clauses := _clauses(v):
         best_subset, best_util = 0, float("-inf")
-        for clause in v.clauses:
+        for clause in clauses:
             subset = mask_of(j for j, w in enumerate(clause) if w >= prices[j])
             util = _mask_sum(clause, subset) - _mask_sum(prices, subset)
             if util > best_util:
@@ -314,10 +313,8 @@ def restrict(v: Valuation, goods: Sequence[int]) -> Valuation:
     for j in goods:
         if not 0 <= j < v.m:
             raise ValueError(f"good {j} out of range")
-    if isinstance(v, Additive):
-        return Additive(tuple(v.weights[j] for j in goods))
-    if isinstance(v, BudgetAdditive):
-        return BudgetAdditive(tuple(v.weights[j] for j in goods), v.cap)
+    if isinstance(v, (Additive, BudgetAdditive)):
+        return replace(v, weights=tuple(v.weights[j] for j in goods))
     if isinstance(v, Xos):
         return Xos(tuple(tuple(c[j] for j in goods) for c in v.clauses))
     k = len(goods)

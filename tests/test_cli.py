@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -20,6 +21,12 @@ def test_gen_is_byte_deterministic(tmp_path, capsys):
                       "--seed", "3", "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+    for option in ("--cap", "--clauses"):  # gen draws with fixed rules and takes neither
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen", "--family", "xos", "--n", "2", "--m", "5", option, "1",
+                      "--out", str(a)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
 
 def test_gen_explicit_passes_axiom_check(tmp_path, capsys):
@@ -32,18 +39,6 @@ def test_gen_explicit_passes_axiom_check(tmp_path, capsys):
     # every entry is the drawn XOS valuation's value, bit for bit
     xos = cli.generate_instance("xos", 2, 6, 1).valuation
     assert all(explicit.table[s] == value(xos, s) for s in range(1 << 6))
-
-
-def test_gen_single_clause_xos_is_additive(tmp_path, capsys):
-    xp, ap = tmp_path / "x.json", tmp_path / "a.json"
-    run(capsys, "gen", "--family", "xos", "--n", "2", "--m", "8", "--seed", "4",
-        "--clauses", "1", "--out", str(xp))
-    run(capsys, "gen", "--family", "additive", "--n", "2", "--m", "8", "--seed", "4",
-        "--out", str(ap))
-    xv = load_instance(xp).valuation
-    av = load_instance(ap).valuation
-    for s in range(1 << 8):
-        assert value(xv, s) == pytest.approx(value(av, s), abs=1e-12)
 
 
 def test_gen_explicit_size_cap(tmp_path, capsys):
@@ -138,13 +133,13 @@ def test_verify_reports_violations_with_exit_one(instance_file, capsys, monkeypa
 @pytest.mark.parametrize(
     "command, backend, set_ups",
     [("verify", "exact", 1), ("verify", "greedy", 1), ("solve", "exact", 1), ("solve", "greedy", 0),
-     ("exact", None, 1)],
+     ("exact", None, 1), ("hardness-demo", None, 1)],
 )
 def test_each_command_builds_at_most_one_engine_set_up(tmp_path, capsys, monkeypatch, command,
                                                        backend, set_ups):
     # verify hands alg and the oracle one SubsetDP: one value table and one
     # pair index per run (an XOS file, so the axiom check does not run), and
-    # the greedy solve tabulates nothing
+    # the greedy solve tabulates nothing; hardness-demo --q 3 has three agents
     path = str(tmp_path / "x.json")
     run(capsys, "gen", "--family", "xos", "--n", "3", "--m", "8", "--seed", "2", "--out", path)
     calls = dict.fromkeys(("value_table", "_layer_pairs"), 0)
@@ -155,8 +150,10 @@ def test_each_command_builds_at_most_one_engine_set_up(tmp_path, capsys, monkeyp
             return _real(*args)
 
         monkeypatch.setattr(swmax, name, counted)
-    flags = ["--sw-backend", backend] if backend else []
-    code, _ = run(capsys, command, "--instance", path, "--p=-inf,0,1", *flags)
+    flags = ["--instance", path, *(["--sw-backend", backend] if backend else [])]
+    if command == "hardness-demo":
+        flags = ["--q", "3", "--mode", "yes"]
+    code, _ = run(capsys, command, "--p=-inf,0,1", *flags)
     assert code == 0
     assert calls == {"value_table": set_ups, "_layer_pairs": set_ups}
 
@@ -236,6 +233,23 @@ def test_verify_rejects_a_bad_field_with_exit_two(tmp_path, capsys, document, er
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     if error.startswith("cannot "):
         assert str(path) in captured.err
+
+
+def test_every_command_refuses_more_agents_than_the_bound(tmp_path, capsys):
+    # refused when the file loads: the greedy deal would size its arrays by n
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"n": 2**40, "valuation": {"type": "additive",
+                                                          "weights": [3.0, 1.0, 2.0]}}))
+    flags = ["--instance", str(path), "--p=1"]
+    for argv in (["solve", *flags, "--sw-backend", "greedy"], ["solve", *flags],
+                 ["verify", *flags, "--sw-backend", "greedy"], ["exact", *flags],
+                 ["gen", "--family", "additive", "--n", str(2**40), "--m", "3",
+                  "--out", str(tmp_path / "gen.json")]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: at most 65536 agents supported, got n = 1099511627776\n"
+    assert not (tmp_path / "gen.json").exists()
 
 
 def test_verify_needs_an_exponent(instance_file, capsys):
@@ -361,8 +375,14 @@ def test_hardness_demo_yes(tmp_path, capsys):
                     "--seed", "1", "--out", str(out_file))
     assert code == 0
     report = json.loads(out)
-    assert report["perfect_matching"]
-    assert all(abs(row["opt_welfare"] - 3.0) <= 1e-9 for row in report["table"])
+    assert set(report) == {"command", "mode", "q", "hyperedges", "max_matching_size",
+                           "perfect_matching", "table", "instance_file", "ok"}
+    assert report["perfect_matching"] and report["ok"] and report["max_matching_size"] == 2
+    assert report["instance_file"] == str(out_file) and len(report["hyperedges"]) == 4
+    assert [row["p"] for row in report["table"]] == ["-inf", "-1", "0", "0.4", "1"]
+    for row in report["table"]:
+        assert set(row) == {"p", "opt_welfare", "ok"}
+        assert row["ok"] and abs(row["opt_welfare"] - 3.0) <= 1e-9
     inst = load_instance(out_file)
     assert inst.n == 2 and inst.m == 6
 
@@ -371,9 +391,47 @@ def test_hardness_demo_no(capsys):
     code, out = run(capsys, "hardness-demo", "--q", "3", "--mode", "no", "--seed", "2")
     assert code == 0
     report = json.loads(out)
-    assert report["alpha"] < 1
+    assert set(report) == {"command", "mode", "q", "hyperedges", "max_matching_size", "alpha",
+                           "table", "instance_file", "ok"}
+    assert report["alpha"] == 1 / 3 and report["max_matching_size"] == 1 and report["ok"]
+    assert report["instance_file"] is None and len(report["hyperedges"]) == 4
     for row in report["table"]:
+        assert set(row) == {"p", "opt_welfare", "bound", "ok"}
+        assert row["ok"] and row["bound"] == 2 + 1 / 3
         assert row["opt_welfare"] <= row["bound"] + 1e-9
+
+
+def test_hardness_demo_exits_one_when_a_row_fails(capsys, monkeypatch):
+    from pmean import hardness
+    from pmean.oracle import OptResult
+
+    real = hardness.p_opt_grid
+
+    def inflated(inst, ps, dp):
+        return [OptResult(r.p, r.alloc, r.welfare + 1.0) for r in real(inst, ps, dp)]
+
+    monkeypatch.setattr(hardness, "p_opt_grid", inflated)
+    code, out = run(capsys, "hardness-demo", "--q", "2", "--mode", "yes", "--p=0,1")
+    assert code == 1
+    report = json.loads(out)
+    assert not report["ok"] and [row["ok"] for row in report["table"]] == [False, False]
+
+
+@pytest.mark.parametrize(
+    "q, mode, largest",
+    [(11, "yes", 10), (20, "no", 19), (100000, "yes", 10), (100000, "no", 19)],
+)
+def test_hardness_demo_refuses_a_gadget_too_large_to_check(tmp_path, capsys, q, mode, largest):
+    # refused before the gadget is drawn, so nothing is built or written
+    out_file = tmp_path / "gadget.json"
+    start = time.perf_counter()
+    code = cli.main(["hardness-demo", "--q", str(q), "--mode", mode, "--out", str(out_file)])
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: --q {q} is too large: --mode {mode} checks q <= {largest}, "
+                            "as the matching search stops at 20 edges\n")
+    assert not out_file.exists()
 
 
 def test_hardness_demo_no_rejects_single_agent(capsys):

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from pmean.errors import NotPerfect, SizeLimitExceeded
+from pmean import hardness
+from pmean.errors import BudgetExceeded, NotPerfect, SizeLimitExceeded
 from pmean.hardness import (
     Gap3dmInstance,
+    check_gap,
     generate_no_instance,
     generate_yes_instance,
     matching_to_allocation,
     max_matching_brute,
     reduce,
-    verify_no_side,
 )
 from pmean.means import NEG_INF, p_mean_welfare
 from pmean.oracle import check_monotonicity, p_opt_brute
@@ -120,12 +121,46 @@ def test_no_side_bound(q):
     inst = reduce(g)
     for p in P_GRID:
         assert p_opt_brute(inst, p).welfare <= 2 + alpha + 1e-9
-    assert verify_no_side(g, alpha, P_GRID)
+    gap = check_gap(g, P_GRID)
+    assert gap["ok"] and gap["alpha"] == alpha and gap["max_matching_size"] == 1
+    assert [row["p"] for row in gap["table"]] == P_GRID
+    for row in gap["table"]:
+        assert row["ok"] and row["bound"] == 2 + alpha
+        assert row["opt_welfare"] == pytest.approx(p_opt_brute(inst, row["p"]).welfare)
 
 
-def test_verify_no_side_vacuous_on_yes_instances():
-    g = generate_yes_instance(2, seed=0)
-    assert verify_no_side(g, 0.5, P_GRID)  # premise fails: matching is perfect
+def test_check_gap_reads_the_side_off_the_matching():
+    # a perfect matching puts the gadget on the yes side: optimum 3, no alpha or bound
+    yes = check_gap(generate_yes_instance(2, seed=0), P_GRID)
+    assert set(yes) == {"max_matching_size", "perfect_matching", "table", "ok"}
+    assert yes["ok"] and yes["perfect_matching"] and yes["max_matching_size"] == 2
+    for row in yes["table"]:
+        assert set(row) == {"p", "opt_welfare", "ok"}
+        assert row["ok"] and row["opt_welfare"] == pytest.approx(3.0, abs=1e-9)
+    no = check_gap(generate_no_instance(2, seed=0), P_GRID)
+    assert set(no) == {"max_matching_size", "alpha", "table", "ok"}
+    assert all(set(row) == {"p", "opt_welfare", "bound", "ok"} for row in no["table"])
+
+
+def test_check_gap_fails_a_row_past_its_claim(monkeypatch):
+    from pmean.oracle import OptResult
+
+    real = hardness.p_opt_grid
+
+    def inflated(inst, ps, dp):  # a sham oracle: the last exponent's optimum is raised
+        *rest, last = real(inst, ps, dp)
+        return [*rest, OptResult(last.p, last.alloc, last.welfare + 0.5)]
+
+    monkeypatch.setattr(hardness, "p_opt_grid", inflated)
+    for g in (generate_yes_instance(2, seed=0), generate_no_instance(3, seed=0)):
+        gap = check_gap(g, P_GRID)
+        assert not gap["ok"]
+        assert [row["ok"] for row in gap["table"]] == [True] * (len(P_GRID) - 1) + [False]
+
+
+def test_check_gap_refuses_an_engine_over_budget():
+    with pytest.raises(BudgetExceeded, match="over budget 10"):
+        check_gap(generate_yes_instance(3, seed=0), P_GRID, budget=10)
 
 
 def test_no_generator_requires_two_agents():
@@ -153,9 +188,3 @@ def test_reduced_demand_oracle_matches_brute_force():
 def test_gadget_rejects_an_empty_block_or_edge_list(q, edges, error):
     with pytest.raises(ValueError, match=error):
         Gap3dmInstance(q, edges)
-
-
-@pytest.mark.parametrize("alpha", (0.0, 1.0, -0.5))
-def test_verify_no_side_rejects_alpha_outside_the_open_unit_interval(alpha):
-    with pytest.raises(ValueError, match="alpha must lie in"):
-        verify_no_side(generate_no_instance(2), alpha, P_GRID)

@@ -8,6 +8,7 @@ from pmean.cli import generate_instance
 from pmean.errors import SizeLimitExceeded
 from pmean.valuations import (
     EPS,
+    MAX_AGENTS,
     Additive,
     AxiomReport,
     BudgetAdditive,
@@ -92,6 +93,20 @@ def test_xos_demand_matches_brute_force_any_clause_count(clause_count):
         _, util = demand(v, prices)
         _, best = brute_demand(v, prices)
         assert util == pytest.approx(best, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_single_clause_xos_is_additive_bit_for_bit(seed):
+    # value_table and demand treat additive as the one-clause XOS case, and
+    # value keeps a branch of its own: all three must agree exactly
+    rng = np.random.default_rng(300 + seed)
+    weights = tuple(round(float(x) * 100, 6) for x in rng.uniform(size=8))
+    additive, xos = Additive(weights), Xos((weights,))
+    assert all(value(additive, s) == value(xos, s) for s in range(1 << 8))
+    assert np.array_equal(value_table(additive), value_table(xos))
+    for _ in range(10):
+        prices = [float(x) for x in rng.uniform(-30, 120, 8)]
+        assert demand(additive, prices) == demand(xos, prices)
 
 
 def test_budget_additive_demand_size_cap():
@@ -186,6 +201,13 @@ def test_constructors_reject_negative_weights():
         Xos(((1.0, -1.0),))
     with pytest.raises(ValueError):
         BudgetAdditive((1.0,), -2.0)
+
+
+def test_instance_bounds_the_agent_count():
+    # refused in the constructor, before any consumer sizes an array by n
+    with pytest.raises(SizeLimitExceeded, match=f"at most {MAX_AGENTS} agents supported, got n = {2**40}$"):
+        Instance(2**40, Additive((3.0, 1.0, 2.0)))
+    assert Instance(MAX_AGENTS, Additive((1.0,))).n == MAX_AGENTS
 
 
 def test_explicit_table_needs_power_of_two():
