@@ -77,8 +77,9 @@ def p_mean(values: Sequence[float], p: float) -> float:
     return math.exp(c + math.log1p(spread / n) / p)
 
 
-def check_allocation(bundles: Sequence[int], m: int) -> None:
-    """Raise ValueError unless bundles are disjoint bitmasks covering all m goods."""
+def check_allocation(bundles: Sequence[int], m: int, n: int | None = None) -> None:
+    """Raise ValueError unless bundles are disjoint bitmasks covering all m goods
+    and, when n is given, there are n of them."""
     if not bundles:
         raise ValueError("allocation needs at least one bundle")
     seen = 0
@@ -90,6 +91,8 @@ def check_allocation(bundles: Sequence[int], m: int) -> None:
         seen |= b
     if seen != full_set(m):
         raise ValueError("bundles do not cover all goods")
+    if n is not None and len(bundles) != n:
+        raise ValueError(f"expected {n} bundles, got {len(bundles)}")
 
 
 def bundle_values(inst: Instance, bundles: Sequence[int]) -> list[float]:
@@ -98,7 +101,5 @@ def bundle_values(inst: Instance, bundles: Sequence[int]) -> list[float]:
 
 def p_mean_welfare(inst: Instance, bundles: Sequence[int], p: float) -> float:
     """p-mean of the bundle values of a complete allocation."""
-    check_allocation(bundles, inst.m)
-    if len(bundles) != inst.n:
-        raise ValueError(f"expected {inst.n} bundles, got {len(bundles)}")
+    check_allocation(bundles, inst.m, inst.n)
     return p_mean(bundle_values(inst, bundles), p)

@@ -1,11 +1,13 @@
+import argparse
 import json
 import time
 
 import pytest
 
 from pmean import analysis, cli, swmax
+from pmean.means import bundle_values, p_mean_welfare, parse_exponent
 from pmean.swmax import Guarantee
-from pmean.valuations import check_axioms, load_instance, value
+from pmean.valuations import check_axioms, load_instance, mask_of, value
 
 
 def run(capsys, *argv):
@@ -183,6 +185,15 @@ def test_greedy_solve_deals_wide_budget_additive_instances(tmp_path, capsys):
          "clause weights must be"),
         ({"n": 2, "valuation": {"type": "explicit", "table": [0.0, 1.0, float("inf"), 2.0]}},
          "table values must be"),
+        # a JSON integer too large for a float counts as infinite, in every field
+        ({"n": 2, "valuation": {"type": "additive", "weights": [1.0, 10**400]}},
+         "weights must be finite and nonnegative\n"),
+        ({"n": 2, "valuation": {"type": "budget_additive", "weights": [1.0, 2.0],
+                                "cap": 10**400}}, "cap must be finite and nonnegative\n"),
+        ({"n": 2, "valuation": {"type": "xos", "clauses": [[1.0, 2.0], [10**400, 0.0]]}},
+         "clause weights must be finite and nonnegative\n"),
+        ({"n": 2, "valuation": {"type": "explicit", "table": [0.0, 1.0, 2.0, 10**400]}},
+         "table values must be finite and nonnegative\n"),
         ({"n": 2, "valuation": {"type": "explicit", "table": [0, 1, 1, 10]}},
          "table must be normalized, monotone and subadditive (fails: subadditive): "
          "v({0, 1}) = 10 > v({0}) + v({1}) = 2\n"),
@@ -214,6 +225,7 @@ def test_greedy_solve_deals_wide_budget_additive_instances(tmp_path, capsys):
          "explicit tables support at most 16 goods"),
     ],
     ids=["nan-weight", "infinite-cap", "fractional-n", "infinite-clause", "infinite-table",
+         "huge-weight", "huge-cap", "huge-clause", "huge-table",
          "superadditive-table", "non-monotone-table", "no-valuation", "no-weights",
          "top-level-list", "scalar-weights", "list-valuation", "scalar-clauses", "missing-file",
          "not-json", "not-utf8", "too-deep", "no-agents", "64-goods", "unknown-type",
@@ -449,3 +461,63 @@ def test_verify_on_matching_gadget_reports_optimum_three(tmp_path, capsys):
     for row in report["table"]:
         assert row["opt_welfare"] == pytest.approx(3.0, abs=1e-9)
         assert row["status"] == "pass"
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(instance_file, capsys, monkeypatch):
+    parsers = []
+    real = argparse.ArgumentParser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        parsers.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+    solve = ["solve", "--instance", instance_file, "--p=-inf,0,1"]
+    # a budget given once is not remembered by the next call
+    code = cli.main([*solve, "--budget", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "over budget 5" in captured.err
+    code, out = run(capsys, *solve)
+    assert code == 0 and json.loads(out)["table"][0]["p"] == "-inf"
+    # nor is an output format
+    code, out = run(capsys, *solve, "--output", "csv")
+    assert code == 0 and out.splitlines()[0] == "p,alg_welfare"
+    code, out = run(capsys, *solve, "--output", "json")
+    assert code == 0 and json.loads(out)["command"] == "solve"
+    # nor a parse failure
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--instance", instance_file])
+    assert exc.value.code == 2
+    assert "required: --p" in capsys.readouterr().err
+    code, out = run(capsys, *solve, "--sw-backend", "greedy")
+    assert code == 0 and json.loads(out)["sw_backend"] == "greedy"
+    assert len(parsers) == 6
+    assert all(parser is cli.build_parser() for parser in parsers)
+
+
+@pytest.mark.parametrize("backend", ["exact", "greedy"])
+@pytest.mark.parametrize("family", cli.FAMILIES)
+def test_report_welfare_is_p_mean_welfare_bit_for_bit(tmp_path, capsys, monkeypatch, family,
+                                                     backend):
+    path = str(tmp_path / f"{family}.json")
+    run(capsys, "gen", "--family", family, "--n", "3", "--m", "7", "--seed", "5", "--out", path)
+    inst = load_instance(path)
+    valued = []
+
+    def counted(*args):
+        valued.append(args)
+        return bundle_values(*args)
+
+    monkeypatch.setattr(cli, "bundle_values", counted)
+    tokens = ["-inf", "-30", "-1", "-0.5", "0", "1e-05", "0.4", "0.9", "1"]
+    for command in ("solve", "verify"):
+        code, out = run(capsys, command, "--instance", path, "--p=" + ",".join(tokens),
+                        "--sw-backend", backend)
+        assert code == 0
+        report = json.loads(out)
+        alloc = [mask_of(goods) for goods in report["allocation"]]
+        assert report["bundle_values"] == bundle_values(inst, alloc)
+        for row, token in zip(report["table"], tokens, strict=True):
+            assert row["alg_welfare"] == p_mean_welfare(inst, alloc, parse_exponent(token))
+    assert len(valued) == 2  # once per report

@@ -203,6 +203,27 @@ def test_constructors_reject_negative_weights():
         BudgetAdditive((1.0,), -2.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1e-300])
+@pytest.mark.parametrize("at", [0, 1 << 15, (1 << 16) - 1])
+def test_the_weight_check_refuses_any_bad_entry_of_a_full_table(bad, at):
+    table = [1.0] * (1 << 16)
+    table[0] = 0.0
+    table[at] = bad
+    with pytest.raises(ValueError, match="^table values must be finite and nonnegative$"):
+        ExplicitTable(tuple(table))
+    weights = [1.0] * 63
+    weights[at % 63] = bad
+    with pytest.raises(ValueError, match="^weights must be finite and nonnegative$"):
+        Additive(tuple(weights))
+
+
+def test_the_weight_check_returns_floats_bit_for_bit():
+    weights = (0, 1, 2**53 + 1, 2**70 + 5, 0.1, -0.0, 1e308, True)
+    checked = Additive(weights).weights
+    assert [type(w) for w in checked] == [float] * len(weights)
+    assert [w.hex() for w in checked] == [float(w).hex() for w in weights]
+
+
 def test_instance_bounds_the_agent_count():
     # refused in the constructor, before any consumer sizes an array by n
     with pytest.raises(SizeLimitExceeded, match=f"at most {MAX_AGENTS} agents supported, got n = {2**40}$"):
