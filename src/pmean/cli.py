@@ -12,10 +12,8 @@ Each command builds at most one swmax.SubsetDP (value table and layer pairs)
 under that budget: `verify` shares it between alg and the oracle, `exact` and
 `hardness-demo` across all exponents, and `solve` builds one only for the
 exact backend.  The axiom check of explicit tables keeps its own.
-The argparse parser is built once per process, on the first call of main.  A
-`solve` or `verify` report checks and values its allocation once: one
-bundle_values list gives every exponent's alg_welfare and the report's
-bundle_values field.
+Every call of main in a process shares one argparse parser, which keeps no
+state between parse_args calls.
 
 Instances are generated with NumPy's PCG64 generator (np.random.default_rng
 seeded with the documented 64-bit seed), so a (family, n, m, seed) tuple always
@@ -154,7 +152,7 @@ def _solve_report(inst: Instance, ps, backend: str, dp: SubsetDP | None) -> dict
     alloc, trace = alg(inst, backend, dp)
     solve_s = time.perf_counter() - start
     check_allocation(alloc, inst.m, inst.n)
-    values = bundle_values(inst, alloc)  # once; every exponent's mean reads the same list
+    values = bundle_values(inst, alloc)
     table = [{"p": token, "alg_welfare": p_mean(values, p)} for token, p in ps]
     return {
         "n": inst.n,
@@ -275,7 +273,7 @@ def _cmd_hardness_demo(args) -> int:
     return 0 if gap["ok"] else 1
 
 
-@functools.cache  # built once per process: parse_args keeps no state between calls
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pmean",

@@ -77,9 +77,8 @@ def p_mean(values: Sequence[float], p: float) -> float:
     return math.exp(c + math.log1p(spread / n) / p)
 
 
-def check_allocation(bundles: Sequence[int], m: int, n: int | None = None) -> None:
-    """Raise ValueError unless bundles are disjoint bitmasks covering all m goods
-    and, when n is given, there are n of them."""
+def check_allocation(bundles: Sequence[int], m: int, n: int) -> None:
+    """Raise ValueError unless bundles are n disjoint bitmasks covering all m goods."""
     if not bundles:
         raise ValueError("allocation needs at least one bundle")
     seen = 0
@@ -91,7 +90,7 @@ def check_allocation(bundles: Sequence[int], m: int, n: int | None = None) -> No
         seen |= b
     if seen != full_set(m):
         raise ValueError("bundles do not cover all goods")
-    if n is not None and len(bundles) != n:
+    if len(bundles) != n:
         raise ValueError(f"expected {n} bundles, got {len(bundles)}")
 
 

@@ -62,15 +62,12 @@ def _check_subset(subset: int, m: int) -> None:
 
 
 def _check_weights(weights: Sequence[float], field: str = "weights") -> tuple[float, ...]:
-    """The weights as a tuple of floats, tested in one numpy pass.  float()
-    hands a float back as itself, so a loaded table's floats are not copied."""
     fault = f"{field} must be finite and nonnegative"
     try:
         out = tuple(map(float, weights))
     except OverflowError:  # an integer too large for a float
         raise ValueError(fault) from None
-    arr = np.fromiter(out, dtype=float, count=len(out))
-    if not ((arr >= 0.0) & (arr < math.inf)).all():  # NaN fails both comparisons
+    if any(not 0.0 <= w < math.inf for w in out):  # NaN fails both comparisons
         raise ValueError(fault)
     return out
 

@@ -172,13 +172,15 @@ def test_welfare_examples():
 
 
 def test_check_allocation_rejects_bad_partitions():
-    with pytest.raises(ValueError):
-        check_allocation((0b01, 0b01), 2)  # overlap
-    with pytest.raises(ValueError):
-        check_allocation((0b01,), 2)  # uncovered good
-    with pytest.raises(ValueError):
-        check_allocation((), 0)
-    check_allocation((0b01, 0b10, 0), 2)  # empty bundles are fine
+    with pytest.raises(ValueError, match="^bundles overlap"):
+        check_allocation((0b01, 0b01), 2, 2)
+    with pytest.raises(ValueError, match="^bundles do not cover all goods$"):
+        check_allocation((0b01,), 2, 1)
+    with pytest.raises(ValueError, match="^allocation needs at least one bundle$"):
+        check_allocation((), 0, 0)
+    with pytest.raises(ValueError, match="^expected 3 bundles, got 2$"):
+        check_allocation((0b01, 0b10), 2, 3)
+    check_allocation((0b01, 0b10, 0), 2, 3)  # empty bundles are fine
 
 
 def test_welfare_rejects_a_bundle_outside_the_goods_and_a_wrong_bundle_count():
